@@ -4,6 +4,16 @@ Three programs on one accelerated projected-gradient core: constrained least
 squares, trace minimization inside a residual ball, and trace-one maximum
 likelihood inside a residual ball.  The residual-ball constraints are handled
 by a squared-hinge penalty whose weight doubles until the ball is met.
+
+The core runs in matrix space.  An iterate is the real view
+(``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
+d x d matrix X, so turning it back into a matrix for an eigendecomposition is
+a free ``view``.  The measurement map acts on that view as the real
+(m, 2 d^2) view of the stacked POVM elements, because
+p_mu = Re sum_ij conj(E_mu,ij) X_ij = Tr(E_mu X) for Hermitian E_mu.  This is
+the Frobenius geometry of the orthonormal Hermitian coordinates of
+:func:`brqst.linalg.hvec`: the map annihilates anti-Hermitian parts, and its
+adjoint sends r to the real view of the Hermitian matrix sum_mu r_mu E_mu.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateEstimateError, InfeasibleError
-from .linalg import HermitianMatrix, hermitianize, hunvec, hvec, project_simplex
+from .linalg import HermitianMatrix, hermitianize, project_simplex
 from .povm import MeasurementVector, Povm
 
 
@@ -128,20 +138,44 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     return x, f_x, it, converged, hist
 
 
-def _project_psd_coeffs(d: int):
+def _mat(x: np.ndarray, d: int) -> np.ndarray:
+    """The d x d complex matrix whose real view is ``x`` (no copy)."""
+    return x.view(np.complex128).reshape(d, d)
+
+
+def _vec(m: np.ndarray) -> np.ndarray:
+    """Real view of a complex matrix, length 2 d^2 (no copy when C-contiguous)."""
+    return m.reshape(-1).view(np.float64)
+
+
+def _measurement_map(povm: Povm) -> np.ndarray:
+    """Real (m, 2 d^2) matrix A with A @ _vec(X) = [Tr(E_mu X)] for Hermitian X."""
+    return povm.stack.reshape(len(povm), -1).view(np.float64)
+
+
+def _apply_elements(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The stack of products E_mu V, shape (m, d, r), as one matrix product."""
+    m, d, _ = stack.shape
+    return (stack.reshape(m * d, d) @ v).reshape(m, d, -1)
+
+
+def _norm(r: np.ndarray) -> float:
+    return math.sqrt(float(r @ r))
+
+
+def _project_psd(d: int):
     def proj(x: np.ndarray) -> np.ndarray:
-        m = hunvec(x, d)
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(_mat(x, d))
         if w[0] >= 0.0:
             return x
         w = np.maximum(w, 0.0)
-        return hvec((v * w) @ v.conj().T)
+        return _vec((v * w) @ v.conj().T)
 
     return proj
 
 
-def _lm_residual_polish(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
-                        x: np.ndarray, d: int, iters: int = 150) -> np.ndarray | None:
+def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
+                        x: np.ndarray, iters: int = 150) -> np.ndarray | None:
     """Refine the data fit on a low-rank spectral factor of the iterate.
 
     Projected gradient crawls when the optimum sits on a degenerate face of
@@ -149,11 +183,11 @@ def _lm_residual_polish(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
     10^3, so certifying 1e-5 infidelity needs residuals near 1e-9).  This
     stage factors the iterate as X = V V^dagger at its numerical rank and
     drives ||M[V V^dagger] - f|| down by Levenberg-Marquardt, which is
-    immune to the cone geometry.  Returns coefficients of the refined
+    immune to the cone geometry.  Returns the real view of the refined
     matrix, or None when the iterate is essentially zero.
     """
-    xm = hunvec(x, d)
-    w, vecs = np.linalg.eigh(xm)
+    d = stack.shape[1]
+    w, vecs = np.linalg.eigh(_mat(x, d))
     lmax = float(w[-1])
     if lmax <= 1e-12:
         return None
@@ -162,27 +196,26 @@ def _lm_residual_polish(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
     v = vecs[:, idx] * np.sqrt(np.maximum(w[idx], 0.0))
 
     def residual(vv: np.ndarray) -> np.ndarray:
-        return s @ hvec(vv @ vv.conj().T) - fv
+        return a @ _vec(vv @ vv.conj().T) - fv
 
     r = residual(v)
     obj = 0.5 * float(r @ r)
     mu = 1e-3
     m = fv.size
+    eye = np.eye(2 * v.size)
     for _ in range(iters):
-        ev = np.einsum("mij,jr->mir", stack, v)
-        j = 2.0 * np.concatenate([ev.real.reshape(m, -1), ev.imag.reshape(m, -1)], axis=1)
+        # columns interleave Re and Im of each entry of V, as its real view does
+        j = 2.0 * _apply_elements(stack, v).reshape(m, -1).view(np.float64)
         g = j.T @ r
-        a = j.T @ j
+        a_lm = j.T @ j
         accepted = False
         for _ in range(30):
             try:
-                delta = np.linalg.solve(a + mu * np.eye(a.shape[0]), -g)
+                delta = np.linalg.solve(a_lm + mu * eye, -g)
             except np.linalg.LinAlgError:
                 mu *= 4.0
                 continue
-            half = delta.size // 2
-            dv = delta[:half].reshape(v.shape) + 1j * delta[half:].reshape(v.shape)
-            v_new = v + dv
+            v_new = v + delta.view(np.complex128).reshape(v.shape)
             r_new = residual(v_new)
             obj_new = 0.5 * float(r_new @ r_new)
             if obj_new < obj:
@@ -195,30 +228,29 @@ def _lm_residual_polish(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
         v, r, obj = v_new, r_new, obj_new
         if obj < 1e-28:
             break
-    return hvec(v @ v.conj().T)
+    return _vec(v @ v.conj().T)
 
 
-def _project_density_coeffs(d: int):
+def _project_density(d: int):
     def proj(x: np.ndarray) -> np.ndarray:
-        m = hunvec(x, d)
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(_mat(x, d))
         w = project_simplex(w)
-        return hvec((v * w) @ v.conj().T)
+        return _vec((v * w) @ v.conj().T)
 
     return proj
 
 
-def _fisher_polish_nll(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
-                       x: np.ndarray, d: int, iters: int = 120) -> np.ndarray | None:
+def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
+                       x: np.ndarray, iters: int = 120) -> np.ndarray | None:
     """Damped Fisher scoring for the log-likelihood on a trace-normalized factor.
 
     Likelihood surfaces near flat directions leave first-order methods with
     large state error at tiny objective error; scoring with the Fisher
-    information metric removes that.  Returns coefficients of the refined
+    information metric removes that.  Returns the real view of the refined
     density matrix, or None when the iterate is essentially zero.
     """
-    xm = hunvec(x, d)
-    w, vecs = np.linalg.eigh(xm)
+    d = stack.shape[1]
+    w, vecs = np.linalg.eigh(_mat(x, d))
     lmax = float(w[-1])
     if lmax <= 1e-12:
         return None
@@ -232,31 +264,27 @@ def _fisher_polish_nll(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
     def nll_of(vv: np.ndarray) -> tuple[float, np.ndarray]:
         tau = float(np.sum((vv.conj() * vv).real))
         rho = (vv @ vv.conj().T) / tau
-        p = np.maximum(np.einsum("mij,ji->m", stack, rho).real, _LOG_CLAMP)
+        p = np.maximum(a @ _vec(rho), _LOG_CLAMP)
         return -float(fa @ np.log(p[active])), p
 
     obj, p = nll_of(v)
     mu = 1e-2
+    eye = np.eye(2 * v.size)
     for _ in range(iters):
         tau = float(np.sum((v.conj() * v).real))
-        ev = np.einsum("mij,jr->mir", stack, v)
-        ev = ev - p[:, None, None] * v[None, :, :]
-        jac = (2.0 / tau) * np.concatenate(
-            [ev.real.reshape(m, -1), ev.imag.reshape(m, -1)], axis=1
-        )
+        ev = _apply_elements(stack, v) - p[:, None, None] * v[None, :, :]
+        jac = (2.0 / tau) * ev.reshape(m, -1).view(np.float64)
         weights = np.where(active, fv / (p * p), 0.0)
         grad = -jac.T @ np.where(active, fv / p, 0.0)
         fisher = (jac * weights[:, None]).T @ jac
         accepted = False
         for _ in range(25):
             try:
-                delta = np.linalg.solve(fisher + mu * np.eye(fisher.shape[0]), -grad)
+                delta = np.linalg.solve(fisher + mu * eye, -grad)
             except np.linalg.LinAlgError:
                 mu *= 4.0
                 continue
-            half = delta.size // 2
-            dv = delta[:half].reshape(v.shape) + 1j * delta[half:].reshape(v.shape)
-            v_new = v + dv
+            v_new = v + delta.view(np.complex128).reshape(v.shape)
             obj_new, p_new = nll_of(v_new)
             if obj_new < obj:
                 accepted = True
@@ -270,19 +298,22 @@ def _fisher_polish_nll(stack: np.ndarray, s: np.ndarray, fv: np.ndarray,
         if rel < 1e-14:
             break
     rho = (v @ v.conj().T) / float(np.sum((v.conj() * v).real))
-    return hvec(rho)
+    return _vec(rho)
 
 
 _CHUNK = 500
 
 
 def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
-           stack: np.ndarray, s: np.ndarray, fv: np.ndarray, d: int,
-           keep_history: bool, polish: bool = True) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
-    """Accelerated projected gradient interleaved with the low-rank data-fit polish.
+           keep_history: bool,
+           polish: Callable[[np.ndarray], np.ndarray | None] | None = None,
+           ) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
+    """Accelerated projected gradient interleaved with an optional polish.
 
-    A polish candidate is projected back onto the feasible set and adopted
-    only when it lowers the program objective, so the reported objective
+    After every chunk of iterations ``polish`` (when given) maps the iterate
+    to a candidate, or to None.  A candidate is projected back onto the
+    feasible set and adopted only when it lowers the program objective, so
+    the reported objective
     sequence stays non-increasing and the result remains a solution of the
     convex program, never merely of the factored surrogate.
     """
@@ -303,8 +334,8 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
         if history is not None and hist is not None:
             history.extend(hist[1:])
         improved = False
-        if polish:
-            xp = _lm_residual_polish(stack, s, fv, x, d)
+        if polish is not None:
+            xp = polish(x)
             if xp is not None:
                 xp = project(xp)
                 f_p = value(xp)
@@ -331,7 +362,7 @@ def _check_lengths(povm: Povm, f: MeasurementVector):
 def _finish(x: np.ndarray, d: int, objective: float, residual: float,
             iterations: int, converged: bool, history,
             normalize: bool = True) -> EstimateReport:
-    raw = HermitianMatrix(hermitianize(hunvec(x, d)))
+    raw = HermitianMatrix(hermitianize(_mat(x, d)))
     tr = float(np.trace(raw.mat).real)
     if tr <= 1e-12:
         raise DegenerateEstimateError(
@@ -347,21 +378,26 @@ def estimate_ls(povm: Povm, f: MeasurementVector,
     """Constrained least squares: minimize ||M[X] - f||_2 over X >= 0."""
     _check_lengths(povm, f)
     d = povm.dim
-    s = povm.coefficient_matrix
+    a = _measurement_map(povm)
     fv = f.values
 
     def value(x: np.ndarray) -> float:
-        r = s @ x - fv
+        r = a @ x - fv
         return 0.5 * float(r @ r)
 
     def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = s @ x - fv
-        return 0.5 * float(r @ r), s.T @ r
+        r = a @ x - fv
+        return 0.5 * float(r @ r), a.T @ r
 
-    lip = _operator_norm_sq(s)
+    def polish(x: np.ndarray) -> np.ndarray | None:
+        return _lm_residual_polish(povm.stack, a, fv, x)
+
+    # ||A|| = ||S||; the power iteration runs in the d^2 Hermitian coordinates
+    # of S, where its constant start vector is a Hermitian matrix
+    lip = _operator_norm_sq(povm.coefficient_matrix)
     x, f_x, iters, conv, hist = _solve(
-        value_grad, value, _project_psd_coeffs(d), np.zeros(d * d), 1.0 / lip, cfg,
-        povm.stack, s, fv, d, keep_history,
+        value_grad, value, _project_psd(d), np.zeros(2 * d * d), 1.0 / lip, cfg,
+        keep_history, polish,
     )
     residual = math.sqrt(2.0 * max(f_x, 0.0))
     return _finish(x, d, residual, residual, iters, conv, hist)
@@ -371,7 +407,7 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
                base_value: Callable, base_grad: Callable,
                project, x0: np.ndarray, step0: float,
                keep_history: bool) -> tuple[np.ndarray, float, int, bool, np.ndarray | None, float]:
-    """Solve min base(x) s.t. ||Sx - f|| <= eps via a squared-hinge penalty.
+    """Solve min base(x) s.t. ||Ax - f|| <= eps via a squared-hinge penalty.
 
     The penalty weight doubles until the ball constraint is met.  At each
     weight the penalized value of the inner iterate lower-bounds the true
@@ -380,9 +416,8 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
     terminates the loop on degenerate instances where the plain iterate
     approaches feasibility only as the weight diverges.
     """
-    s = povm.coefficient_matrix
+    a = _measurement_map(povm)
     fv = f.values
-    d = povm.dim
     lam = 1.0
     slack = 1e-9
     x = x0
@@ -399,45 +434,44 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
     best_fit_resid = np.inf
     while True:
         def value(xx: np.ndarray) -> float:
-            r = s @ xx - fv
-            gap = max(np.linalg.norm(r) - eps, 0.0)
+            r = a @ xx - fv
+            gap = max(_norm(r) - eps, 0.0)
             return base_value(xx, r) + lam * gap * gap
 
         def value_grad(xx: np.ndarray) -> tuple[float, np.ndarray]:
-            r = s @ xx - fv
-            nrm = np.linalg.norm(r)
+            r = a @ xx - fv
+            nrm = _norm(r)
             gap = max(nrm - eps, 0.0)
             val = base_value(xx, r) + lam * gap * gap
             grad = base_grad(xx, r)
             if gap > 0.0 and nrm > 0.0:
-                grad = grad + (2.0 * lam * gap / nrm) * (s.T @ r)
+                grad = grad + (2.0 * lam * gap / nrm) * (a.T @ r)
             return val, grad
 
         x, f_x, iters, conv, hist = _solve(value_grad, value, project, x, step0,
-                                           round_cfg, povm.stack, s, fv, d, keep_history,
-                                           polish=False)
+                                           round_cfg, keep_history)
         total_iters += iters
-        resid = float(np.linalg.norm(s @ x - fv))
+        resid = _norm(a @ x - fv)
         if resid <= eps + slack:
             return x, f_x, total_iters, conv, hist, resid
         # refine the raw data fit, chaining from the best fit found so far
-        xc = _lm_residual_polish(povm.stack, s, fv,
-                                 best_fit if best_fit is not None else x, d, iters=400)
+        xc = _lm_residual_polish(povm.stack, a, fv,
+                                 best_fit if best_fit is not None else x, iters=400)
         if xc is not None:
-            rc_raw = float(np.linalg.norm(s @ xc - fv))
+            rc_raw = _norm(a @ xc - fv)
             if rc_raw < best_fit_resid:
                 best_fit, best_fit_resid = xc, rc_raw
             xcp = project(xc)
-            rc = s @ xcp - fv
-            if float(np.linalg.norm(rc)) <= eps + slack:
+            rc = a @ xcp - fv
+            if _norm(rc) <= eps + slack:
                 bc = base_value(xcp, rc)
                 if bc < incumbent_base:
                     incumbent, incumbent_base = xcp, bc
         if incumbent is not None and (conv or lam >= 64.0):
             # the (near-)converged iterate's base value lower-bounds the optimum
-            base_x = base_value(x, s @ x - fv)
+            base_x = base_value(x, a @ x - fv)
             if incumbent_base <= base_x + 1e-5 * max(1.0, abs(incumbent_base)):
-                resid_inc = float(np.linalg.norm(s @ incumbent - fv))
+                resid_inc = _norm(a @ incumbent - fv)
                 return incumbent, incumbent_base, total_iters, True, hist, resid_inc
         lam *= 2.0
         if lam > lam_max:
@@ -454,11 +488,13 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
         raise ValueError("eps must be nonnegative")
     _check_lengths(povm, f)
     d = povm.dim
-    diag_grad = np.zeros(d * d)
-    diag_grad[:d] = 1.0
+    # Re X_ii sits at 2 i (d + 1) in the real view of X
+    diag = slice(None, None, 2 * (d + 1))
+    diag_grad = np.zeros(2 * d * d)
+    diag_grad[diag] = 1.0
 
     def base_value(x: np.ndarray, r: np.ndarray) -> float:
-        return float(x[:d].sum())
+        return float(x[diag].sum())
 
     def base_grad(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         return diag_grad.copy()
@@ -466,9 +502,9 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
     lip = _operator_norm_sq(povm.coefficient_matrix)
     x, _, iters, conv, hist, resid = _penalized(
         povm, f, eps, cfg, base_value, base_grad,
-        _project_psd_coeffs(d), np.zeros(d * d), 1.0 / lip, keep_history,
+        _project_psd(d), np.zeros(2 * d * d), 1.0 / lip, keep_history,
     )
-    objective = float(x[:d].sum())
+    objective = float(x[diag].sum())
     return _finish(x, d, objective, resid, iters, conv and resid <= eps + 1e-9, hist)
 
 
@@ -488,7 +524,7 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
         raise ValueError("eps must be nonnegative")
     _check_lengths(povm, f)
     d = povm.dim
-    s = povm.coefficient_matrix
+    a = _measurement_map(povm)
     fv = np.maximum(f.values, 0.0)
     active = fv > 0
 
@@ -499,24 +535,24 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
     def base_grad(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         p = np.maximum(r + fv, _LOG_CLAMP)
         w = np.where(active, fv / p, 0.0)
-        return -(s.T @ w)
+        return -(a.T @ w)
 
-    lip = _operator_norm_sq(s) * max(1.0, 1.0 / max(fv.max(), _LOG_CLAMP))
-    x0 = hvec(np.eye(d, dtype=np.complex128) / d)
-    project = _project_density_coeffs(d)
+    lip = _operator_norm_sq(povm.coefficient_matrix) * max(1.0, 1.0 / max(fv.max(), _LOG_CLAMP))
+    x0 = _vec(np.eye(d, dtype=np.complex128) / d)
+    project = _project_density(d)
     x, f_x, iters, conv, hist, resid = _penalized(
         povm, f, eps, cfg, base_value, base_grad, project, x0, 1.0 / lip, keep_history,
     )
 
     def nll_at(xx: np.ndarray) -> float:
-        p = np.maximum(s @ xx, _LOG_CLAMP)
+        p = np.maximum(a @ xx, _LOG_CLAMP)
         return -float(fv[active] @ np.log(p[active]))
 
     # likelihood refinement: keep only if it improves the program, feasibility included
-    xp = _fisher_polish_nll(povm.stack, s, fv, x, d)
+    xp = _fisher_polish_nll(povm.stack, a, fv, x)
     if xp is not None:
         xp = project(xp)
-        resid_p = float(np.linalg.norm(s @ xp - fv))
+        resid_p = _norm(a @ xp - fv)
         if resid_p <= eps + 1e-9 and nll_at(xp) < nll_at(x):
             x, resid = xp, resid_p
             conv = True  # scoring stalls only at a stationary likelihood point

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,20 +177,6 @@ def measurement_for(family: str, d: int, b: int, stream: RandomStream) -> Povm:
     return bases_to_povm(_draw_basis_list(family, d, b, stream))
 
 
-def _grouped_frequencies(povm: Povm, rho: np.ndarray, n_shots: int,
-                         gen: np.random.Generator) -> np.ndarray:
-    """One multinomial sample per provenance group, concatenated and reweighted."""
-    groups = povm.basis_grouping()
-    b = len(groups)
-    vals = np.einsum("mij,ji->m", povm.stack, rho).real
-    out = np.zeros(len(povm))
-    for lo, hi in groups:
-        p = np.maximum(vals[lo:hi] * b, 0.0)
-        p = p / p.sum()
-        out[lo:hi] = gen.multinomial(n_shots, p) / (n_shots * b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Strictness sweep
 # ---------------------------------------------------------------------------
@@ -230,33 +217,34 @@ def run_strictness_sweep(dims: list[int], ranks: list[int], family: str,
         raise ValueError(f"unknown family {family!r}")
     cfg = cfg or SolverConfig(max_iterations=30_000, relative_tolerance=1e-12)
     results = []
-    for d in dims:
-        n_states = states_per_dim if states_per_dim is not None else 5 * d
-        for r in ranks:
-            streams = [rng.derive(d, r, s) for s in range(n_states)]
-            infids: dict[int, np.ndarray] = {}
-            scanned: list[int] = []
-            minimal = None
-            for b in range(1, max_bases + 1):
-                tasks = [(family, d, r, b, st, cfg.max_iterations,
-                          cfg.relative_tolerance) for st in streams]
-                if threads > 1:
-                    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # one pool for the whole sweep; None runs the tasks in this process
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for d in dims:
+            n_states = states_per_dim if states_per_dim is not None else 5 * d
+            for r in ranks:
+                streams = [rng.derive(d, r, s) for s in range(n_states)]
+                infids: dict[int, np.ndarray] = {}
+                scanned: list[int] = []
+                minimal = None
+                for b in range(1, max_bases + 1):
+                    tasks = [(family, d, r, b, st, cfg.max_iterations,
+                              cfg.relative_tolerance) for st in streams]
+                    if pool is not None:
                         out = list(pool.map(_strictness_task, tasks))
-                else:
-                    out = [_strictness_task(t) for t in tasks]
-                arr = np.array([v for _, v in out])
-                infids[b] = arr
-                scanned.append(b)
-                if bool((arr < threshold).all()):
-                    minimal = b
-                    break
-            results.append(SweepResult(
-                dimension=d, rank=r, basis_family=family, threshold=threshold,
-                states=n_states, basis_counts=scanned, infidelities=infids,
-                state_seeds=[st.stream_id for st in streams],
-                minimal_sufficient=minimal,
-            ))
+                    else:
+                        out = [_strictness_task(t) for t in tasks]
+                    arr = np.array([v for _, v in out])
+                    infids[b] = arr
+                    scanned.append(b)
+                    if bool((arr < threshold).all()):
+                        minimal = b
+                        break
+                results.append(SweepResult(
+                    dimension=d, rank=r, basis_family=family, threshold=threshold,
+                    states=n_states, basis_counts=scanned, infidelities=infids,
+                    state_seeds=[st.stream_id for st in streams],
+                    minimal_sufficient=minimal,
+                ))
     return results
 
 

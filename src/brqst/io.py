@@ -84,16 +84,6 @@ def state_from_dict(obj: dict) -> HermitianMatrix:
     return HermitianMatrix(matrix_from_json(obj["matrix"]))
 
 
-def partial_to_dict(p: PartialMatrix) -> dict:
-    entries = []
-    for i in range(p.dim):
-        for j in range(i, p.dim):
-            if p.measured[i, j]:
-                z = p.values[i, j]
-                entries.append([i, j, float(z.real), float(z.imag)])
-    return {"kind": "partial_matrix", "dim": p.dim, "entries": entries}
-
-
 def partial_from_dict(obj: dict) -> PartialMatrix:
     d = int(obj["dim"])
     values = np.full((d, d), complex(np.nan, np.nan), dtype=np.complex128)

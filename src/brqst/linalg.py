@@ -67,10 +67,6 @@ class HermitianMatrix:
     def identity(d: int) -> "HermitianMatrix":
         return HermitianMatrix(np.eye(d, dtype=np.complex128))
 
-    @staticmethod
-    def zero(d: int) -> "HermitianMatrix":
-        return HermitianMatrix(np.zeros((d, d), dtype=np.complex128))
-
 
 def as_hermitian_array(h) -> np.ndarray:
     """Coerce ``h`` (HermitianMatrix or array) to a validated complex ndarray."""
@@ -258,10 +254,6 @@ def random_rank_r_state(d: int, r: int, rng: RandomStream | np.random.Generator)
 # ---------------------------------------------------------------------------
 # Real parametrization of the Hermitian matrix space
 # ---------------------------------------------------------------------------
-
-def hermitian_basis_size(d: int) -> int:
-    return d * d
-
 
 @lru_cache(maxsize=None)
 def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:

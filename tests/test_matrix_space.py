@@ -1,0 +1,122 @@
+"""Property tests for the matrix-space measurement map of the estimator core.
+
+The core works on the real view of a complex d x d matrix and applies the
+measurement map as the real view of the stacked POVM elements.  These tests
+tie that map to the Hermitian coordinates of ``hvec`` and to the trace
+formula, and check the projections and the polish Jacobian built on it.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brqst import RandomStream, bases_to_povm, build_random_bases, project_density, project_psd
+from brqst.estimators import (
+    _apply_elements,
+    _mat,
+    _measurement_map,
+    _project_density,
+    _project_psd,
+    _vec,
+)
+from brqst.linalg import hvec
+
+SETTINGS = settings(max_examples=40, deadline=None)
+dims = st.integers(min_value=2, max_value=6)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+scales = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+def _hermitian(d, gen, scale=1.0):
+    g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    return scale * (g + g.conj().T) / 2
+
+
+def _povm(d, seed, n_bases=3):
+    return bases_to_povm(build_random_bases(d, n_bases, RandomStream(seed)))
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, scale=scales)
+def test_map_matches_hermitian_coordinates_and_trace(d, seed, scale):
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    x = _hermitian(d, gen, scale)
+    p = _measurement_map(povm) @ _vec(x)
+    tol = 1e-12 * scale
+    np.testing.assert_allclose(p, povm.coefficient_matrix @ hvec(x), rtol=0, atol=tol)
+    traces = np.array([np.trace(e.mat @ x).real for e in povm.elements])
+    np.testing.assert_allclose(p, traces, rtol=0, atol=tol)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, scale=scales)
+def test_adjoint_is_real_view_of_hermitian_sum(d, seed, scale):
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    r = scale * gen.standard_normal(len(povm))
+    g = _mat(_measurement_map(povm).T @ r, d)
+    expected = np.einsum("m,mij->ij", r, povm.stack)
+    np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_array_equal(g, g.conj().T)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, scale=scales)
+def test_psd_projection_idempotent_nonexpansive(d, seed, scale):
+    gen = np.random.default_rng(seed)
+    proj = _project_psd(d)
+    x, y = _hermitian(d, gen, scale), _hermitian(d, gen, scale)
+    px, py = proj(_vec(x)), proj(_vec(y))
+    tol = 1e-12 * scale
+    np.testing.assert_allclose(_mat(px, d), project_psd(x).mat, rtol=0, atol=tol)
+    np.testing.assert_allclose(proj(px), px, rtol=0, atol=tol)
+    assert np.linalg.eigvalsh(_mat(px, d))[0] >= -tol
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + tol
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, scale=scales)
+def test_density_projection_idempotent_nonexpansive(d, seed, scale):
+    gen = np.random.default_rng(seed)
+    proj = _project_density(d)
+    x, y = _hermitian(d, gen, scale), _hermitian(d, gen, scale)
+    px, py = proj(_vec(x)), proj(_vec(y))
+    tol = 1e-12 * max(1.0, scale)
+    rho = _mat(px, d)
+    np.testing.assert_allclose(rho, project_density(x).mat, rtol=0, atol=tol)
+    np.testing.assert_allclose(proj(px), px, rtol=0, atol=tol)
+    assert abs(np.trace(rho).real - 1.0) <= tol
+    assert np.linalg.eigvalsh(rho)[0] >= -tol
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + tol
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=4))
+def test_reshaped_product_jacobian_matches_einsum(d, seed, rank):
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    np.testing.assert_allclose(_apply_elements(povm.stack, v),
+                               np.einsum("mij,jr->mir", povm.stack, v),
+                               rtol=0, atol=1e-13)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=4))
+def test_real_view_jacobian_is_derivative_of_data_fit(d, seed, rank):
+    # the polish reads the real view of E_mu V as the Jacobian of
+    # V -> [Tr(E_mu V V^dagger)] acting on the real view of a step dV
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    a = _measurement_map(povm)
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    dv = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    jac = 2.0 * _apply_elements(povm.stack, v).reshape(len(povm), -1).view(np.float64)
+
+    def fit(w):
+        return a @ _vec(w @ w.conj().T)
+
+    # central differences are exact for the quadratic map
+    central = (fit(v + dv) - fit(v - dv)) / 2.0
+    np.testing.assert_allclose(jac @ _vec(dv), central, rtol=0, atol=1e-11)
