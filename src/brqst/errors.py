@@ -25,4 +25,16 @@ class DegenerateEstimateError(BrqstError):
 
 
 class InfeasibleError(BrqstError):
-    """The residual-ball constraint cannot be met at any penalty weight."""
+    """The residual ball holds no feasible point of the program.
+
+    ``kind`` names the certificate when one was found.  Trace minimization
+    raises with ``"ls_residual_exceeds_radius"`` once its trace cap is
+    inactive above the radius: the least residual over X >= 0 then exceeds
+    the ball radius, so the ball holds no PSD matrix.  Maximum likelihood
+    raises without a kind when its penalty weight runs out before the ball
+    is met.
+    """
+
+    def __init__(self, message: str, kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind

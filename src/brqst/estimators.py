@@ -2,8 +2,12 @@
 
 Three programs on one accelerated projected-gradient core: constrained least
 squares, trace minimization inside a residual ball, and trace-one maximum
-likelihood inside a residual ball.  The residual-ball constraints are handled
-by a squared-hinge penalty whose weight doubles until the ball is met.
+likelihood inside a residual ball.  Trace minimization is a root find on the
+Pareto curve phi(tau) = min ||M[X] - f|| over {X >= 0, Tr X <= tau}: Newton
+steps on tau solve phi(tau) = eps, each phi(tau) being the least-squares
+program with a trace cap (van den Berg & Friedlander, SIAM J. Sci. Comput.
+31, 890 (2008)).  Maximum likelihood handles its ball by a squared-hinge
+penalty whose weight doubles until the ball is met.
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -163,7 +167,14 @@ def _norm(r: np.ndarray) -> float:
     return math.sqrt(float(r @ r))
 
 
-def _project_psd(d: int):
+def _project_psd(d: int, cap: float | None = None):
+    """Projection onto {X >= 0}, or onto {X >= 0, Tr X <= cap} given a cap.
+
+    The eigenvalues are clipped at zero; under a cap, if their sum still
+    exceeds it they are projected onto the simplex of total ``cap`` instead.
+    The uncapped projection skips the rebuild of a PSD input; LS runs it
+    hundreds of times a call, so it carries no trace test.
+    """
     def proj(x: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(_mat(x, d))
         if w[0] >= 0.0:
@@ -171,7 +182,14 @@ def _project_psd(d: int):
         w = np.maximum(w, 0.0)
         return _vec((v * w) @ v.conj().T)
 
-    return proj
+    def proj_capped(x: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(_mat(x, d))
+        w = np.maximum(w, 0.0)
+        if w.sum() > cap:
+            w = project_simplex(w, cap)
+        return _vec((v * w) @ v.conj().T)
+
+    return proj if cap is None else proj_capped
 
 
 def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
@@ -302,6 +320,10 @@ def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
 
 
 _CHUNK = 500
+# residual-ball slack accepted by the ball-constrained programs
+_BALL_SLACK = 1e-9
+# cap on Newton steps along the Pareto curve; Fig-2 records take 4 to 7
+_NEWTON_STEPS = 100
 
 
 def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
@@ -372,14 +394,9 @@ def _finish(x: np.ndarray, d: int, objective: float, residual: float,
     return EstimateReport(estimate, raw, objective, residual, iterations, converged, history)
 
 
-def estimate_ls(povm: Povm, f: MeasurementVector,
-                cfg: SolverConfig = SolverConfig(),
-                keep_history: bool = False) -> EstimateReport:
-    """Constrained least squares: minimize ||M[X] - f||_2 over X >= 0."""
-    _check_lengths(povm, f)
-    d = povm.dim
+def _data_fit(povm: Povm, fv: np.ndarray):
+    """Value, value-and-gradient and LM polish of 0.5 ||A x - f||^2."""
     a = _measurement_map(povm)
-    fv = f.values
 
     def value(x: np.ndarray) -> float:
         r = a @ x - fv
@@ -392,6 +409,16 @@ def estimate_ls(povm: Povm, f: MeasurementVector,
     def polish(x: np.ndarray) -> np.ndarray | None:
         return _lm_residual_polish(povm.stack, a, fv, x)
 
+    return a, value, value_grad, polish
+
+
+def estimate_ls(povm: Povm, f: MeasurementVector,
+                cfg: SolverConfig = SolverConfig(),
+                keep_history: bool = False) -> EstimateReport:
+    """Constrained least squares: minimize ||M[X] - f||_2 over X >= 0."""
+    _check_lengths(povm, f)
+    d = povm.dim
+    _, value, value_grad, polish = _data_fit(povm, f.values)
     # ||A|| = ||S||; the power iteration runs in the d^2 Hermitian coordinates
     # of S, where its constant start vector is a Hermitian matrix
     lip = _operator_norm_sq(povm.coefficient_matrix)
@@ -419,7 +446,6 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
     a = _measurement_map(povm)
     fv = f.values
     lam = 1.0
-    slack = 1e-9
     x = x0
     total_iters = 0
     lam_max = 1e16
@@ -452,7 +478,7 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
                                            round_cfg, keep_history)
         total_iters += iters
         resid = _norm(a @ x - fv)
-        if resid <= eps + slack:
+        if resid <= eps + _BALL_SLACK:
             return x, f_x, total_iters, conv, hist, resid
         # refine the raw data fit, chaining from the best fit found so far
         xc = _lm_residual_polish(povm.stack, a, fv,
@@ -463,7 +489,7 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
                 best_fit, best_fit_resid = xc, rc_raw
             xcp = project(xc)
             rc = a @ xcp - fv
-            if _norm(rc) <= eps + slack:
+            if _norm(rc) <= eps + _BALL_SLACK:
                 bc = base_value(xcp, rc)
                 if bc < incumbent_base:
                     incumbent, incumbent_base = xcp, bc
@@ -483,29 +509,56 @@ def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
 def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
                        cfg: SolverConfig = SolverConfig(),
                        keep_history: bool = False) -> EstimateReport:
-    """Trace minimization: minimize Tr(X) s.t. ||M[X] - f||_2 <= eps, X >= 0."""
+    """Trace minimization: minimize Tr(X) s.t. ||M[X] - f||_2 <= eps, X >= 0.
+
+    Solves phi(tau) = eps on the Pareto curve phi(tau) = min ||M[X] - f||
+    over {X >= 0, Tr X <= tau}.  phi is convex and decreasing, with
+    phi'(tau) = -theta / phi where theta = lambda_max(-M^dagger[r]) and
+    r = M[X] - f at the capped optimum, so Newton steps from tau = 0 approach
+    eps from above.  Each phi(tau) is the least-squares program with a trace
+    cap, warm-started from the previous point.  ``keep_history`` records phi
+    after each Newton step.
+
+    Raises :class:`InfeasibleError` of kind ``"ls_residual_exceeds_radius"``
+    when the cap goes inactive while phi is still above the radius: the
+    least residual over X >= 0 then exceeds eps.
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_lengths(povm, f)
     d = povm.dim
+    fv = f.values
+    a, value, value_grad, polish = _data_fit(povm, fv)
     # Re X_ii sits at 2 i (d + 1) in the real view of X
     diag = slice(None, None, 2 * (d + 1))
-    diag_grad = np.zeros(2 * d * d)
-    diag_grad[diag] = 1.0
-
-    def base_value(x: np.ndarray, r: np.ndarray) -> float:
-        return float(x[diag].sum())
-
-    def base_grad(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return diag_grad.copy()
-
-    lip = _operator_norm_sq(povm.coefficient_matrix)
-    x, _, iters, conv, hist, resid = _penalized(
-        povm, f, eps, cfg, base_value, base_grad,
-        _project_psd(d), np.zeros(2 * d * d), 1.0 / lip, keep_history,
-    )
-    objective = float(x[diag].sum())
-    return _finish(x, d, objective, resid, iters, conv and resid <= eps + 1e-9, hist)
+    step0 = 1.0 / _operator_norm_sq(povm.coefficient_matrix)
+    x = np.zeros(2 * d * d)
+    r = -fv
+    phi = _norm(r)
+    tau = 0.0
+    total = 0
+    conv = True
+    history = [phi] if keep_history else None
+    for _ in range(_NEWTON_STEPS):
+        if phi <= eps + _BALL_SLACK:
+            break
+        theta = -float(np.linalg.eigh(_mat(a.T @ r, d))[0][0])
+        if theta <= 0.0 or float(x[diag].sum()) < tau * (1.0 - 1e-9):
+            raise InfeasibleError(
+                f"least residual {phi:.6e} over X >= 0 exceeds the ball radius {eps:.6e}",
+                kind="ls_residual_exceeds_radius",
+            )
+        tau += (phi - eps) * phi / theta
+        x, _, iters, conv, _ = _solve(value_grad, value, _project_psd(d, tau), x, step0,
+                                      cfg, False, polish)
+        total += iters
+        r = a @ x - fv
+        phi = _norm(r)
+        if history is not None:
+            history.append(phi)
+    hist = np.array(history) if history is not None else None
+    return _finish(x, d, float(x[diag].sum()), phi, total,
+                   conv and phi <= eps + _BALL_SLACK, hist)
 
 
 _LOG_CLAMP = 1e-12
@@ -553,11 +606,11 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
     if xp is not None:
         xp = project(xp)
         resid_p = _norm(a @ xp - fv)
-        if resid_p <= eps + 1e-9 and nll_at(xp) < nll_at(x):
+        if resid_p <= eps + _BALL_SLACK and nll_at(xp) < nll_at(x):
             x, resid = xp, resid_p
             conv = True  # scoring stalls only at a stationary likelihood point
     objective = nll_at(x)
-    return _finish(x, d, objective, resid, iters, conv and resid <= eps + 1e-9, hist,
+    return _finish(x, d, objective, resid, iters, conv and resid <= eps + _BALL_SLACK, hist,
                    normalize=True)
 
 

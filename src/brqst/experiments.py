@@ -141,7 +141,12 @@ def simulate_counts(bs: BasisSet, rho, n_shots: int,
 # Measurement construction per family (nested across basis counts)
 # ---------------------------------------------------------------------------
 
-def _draw_basis_list(family: str, d: int, b: int, stream: RandomStream) -> BasisSet:
+def _draw(family: str, d: int, b: int, stream: RandomStream) -> BasisSet | list[Povm]:
+    """The first b measurements of a family: a basis set, or the probe POVMs."""
+    if family == "flammia":
+        if b > d - 1:
+            raise ValueError(f"at most d-1 = {d - 1} sequential probe measurements exist")
+        return build_flammia_sequential(d, b)
     if family == "haar_global":
         return build_random_bases(d, b, stream)
     if family == "haar_local_qubits":
@@ -158,23 +163,36 @@ def _draw_basis_list(family: str, d: int, b: int, stream: RandomStream) -> Basis
     raise ValueError(f"unknown basis family {family!r}")
 
 
+def _union(drawn: BasisSet | list[Povm], b: int) -> Povm:
+    """Union POVM of the first b drawn measurements, each weighted 1/b."""
+    if isinstance(drawn, BasisSet):
+        return bases_to_povm(BasisSet(drawn.dim, drawn.bases[:b], drawn.provenance))
+    elements = []
+    grouping = []
+    lo = 0
+    for p in drawn[:b]:
+        elements.extend(HermitianMatrix(e.mat / b) for e in p.elements)
+        grouping.append([lo, lo + len(p)])
+        lo += len(p)
+    provenance = {"construction": "probe_union", "n_groups": b,
+                  "basis_grouping": grouping}
+    return Povm(drawn[0].dim, tuple(elements), provenance)
+
+
 def measurement_for(family: str, d: int, b: int, stream: RandomStream) -> Povm:
     """Union POVM for the first b measurements of a family (nested in b)."""
-    if family == "flammia":
-        if b > d - 1:
-            raise ValueError(f"at most d-1 = {d - 1} sequential probe measurements exist")
-        povms = build_flammia_sequential(d, b)[:b]
-        elements = []
-        grouping = []
-        lo = 0
-        for p in povms:
-            elements.extend(HermitianMatrix(e.mat / b) for e in p.elements)
-            grouping.append([lo, lo + len(p)])
-            lo += len(p)
-        provenance = {"construction": "probe_union", "n_groups": b,
-                      "basis_grouping": grouping}
-        return Povm(d, tuple(elements), provenance)
-    return bases_to_povm(_draw_basis_list(family, d, b, stream))
+    return _union(_draw(family, d, b, stream), b)
+
+
+def measurement_prefixes(family: str, d: int, basis_counts: list[int],
+                         stream: RandomStream) -> dict[int, Povm]:
+    """``measurement_for`` at every count in ``basis_counts``, from one draw.
+
+    Every family is a nested prefix in b, so the largest draw holds the
+    measurements of each smaller count.
+    """
+    drawn = _draw(family, d, max(basis_counts), stream)
+    return {b: _union(drawn, b) for b in basis_counts}
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +283,8 @@ def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
     cfg = SolverConfig(max_iterations=max_iterations,
                        relative_tolerance=relative_tolerance)
     b_max = max(basis_counts)
-    povm_full = measurement_for(family, d, b_max, stream.derive(2))
+    povms = measurement_prefixes(family, d, basis_counts, stream.derive(2))
+    povm_full = povms[b_max]
     groups = povm_full.basis_grouping()
     count_gen = stream.derive(3).generator()
     per_group_freq = []
@@ -279,7 +298,7 @@ def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
             per_group_freq.append(p)
     out: dict[str, dict[int, float]] = {est: {} for est in ESTIMATORS}
     for b in basis_counts:
-        povm = measurement_for(family, d, b, stream.derive(2))
+        povm = povms[b]
         freqs = np.concatenate(per_group_freq[:b]) / b
         if n_shots > 0:
             f = MeasurementVector(freqs, kind="empirical_frequencies",
@@ -323,25 +342,26 @@ def run_robustness_sweep(dims: list[int], family: str, n_states: int,
     cfg = cfg or SolverConfig(max_iterations=20_000, relative_tolerance=1e-10)
     basis_counts = sorted(set(int(b) for b in basis_range))
     results = []
-    for d in dims:
-        n_shots = noise.shots(d)
-        streams = [rng.derive(d, s) for s in range(n_states)]
-        tasks = [(family, d, basis_counts, noise.q, n_shots, st,
-                  cfg.max_iterations, cfg.relative_tolerance) for st in streams]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+    # one pool for the whole sweep; None runs the tasks in this process
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for d in dims:
+            n_shots = noise.shots(d)
+            streams = [rng.derive(d, s) for s in range(n_states)]
+            tasks = [(family, d, basis_counts, noise.q, n_shots, st,
+                      cfg.max_iterations, cfg.relative_tolerance) for st in streams]
+            if pool is not None:
                 out = list(pool.map(_robustness_task, tasks))
-        else:
-            out = [_robustness_task(t) for t in tasks]
-        infids = {est: {b: np.array([res[est][b] for _, res in out])
-                        for b in basis_counts} for est in ESTIMATORS}
-        result = RobustnessResult(
-            dimension=d, basis_family=family, q=noise.q,
-            shots_per_basis=n_shots, basis_counts=basis_counts,
-            infidelities=infids, state_seeds=[st.stream_id for st in streams],
-        )
-        result.summarize()
-        results.append(result)
+            else:
+                out = [_robustness_task(t) for t in tasks]
+            infids = {est: {b: np.array([res[est][b] for _, res in out])
+                            for b in basis_counts} for est in ESTIMATORS}
+            result = RobustnessResult(
+                dimension=d, basis_family=family, q=noise.q,
+                shots_per_basis=n_shots, basis_counts=basis_counts,
+                infidelities=infids, state_seeds=[st.stream_id for st in streams],
+            )
+            result.summarize()
+            results.append(result)
     return results
 
 

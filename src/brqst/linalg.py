@@ -139,10 +139,10 @@ def project_psd(h) -> HermitianMatrix:
     return HermitianMatrix(hermitianize((v * w) @ v.conj().T))
 
 
-def project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
+    """Euclidean projection of a real vector onto the simplex {w >= 0, sum w = total}."""
     u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
+    css = np.cumsum(u) - total
     ks = np.arange(1, w.size + 1)
     valid = u - css / ks > 0
     k = int(ks[valid][-1])

@@ -21,6 +21,7 @@ from brqst import (
     estimate_trace_min,
     fidelity,
     fidelity_pure,
+    random_mixed_hs,
     random_pure_state,
     simulate_counts,
 )
@@ -130,16 +131,62 @@ def test_trace_min_huge_eps_degenerates():
         estimate_trace_min(povm, f, 10.0, TIGHT)
 
 
-def test_trace_min_noisy_constraint_active():
+def _random_basis_record():
     d, b, shots = 4, 5, 1200
     bs = build_random_bases(d, b, RandomStream(104))
-    povm = bases_to_povm(bs)
     psi = random_pure_state(d, RandomStream(105))
     f = simulate_counts(bs, np.outer(psi, psi.conj()), shots, RandomStream(106))
-    eps = default_epsilon(b, d, shots)
+    return bases_to_povm(bs), f, default_epsilon(b, d, shots)
+
+
+def _goyeneche_fig2_record():
+    # one d=8 Fig-2 record: b=5 paired bases, q=1e-3 admixture, 2400 shots per basis
+    d, b, shots, q = 8, 5, 2400, 1e-3
+    bs = build_goyeneche_bases(d, 1)
+    psi = random_pure_state(d, RandomStream(113))
+    sigma = (1 - q) * np.outer(psi, psi.conj()) + q * random_mixed_hs(d, RandomStream(114)).mat
+    f = simulate_counts(bs, sigma, shots, RandomStream(115))
+    return bases_to_povm(bs), f, default_epsilon(b, d, shots) / b
+
+
+def test_trace_min_noisy_constraint_active():
+    povm, f, eps = _random_basis_record()
     report = estimate_trace_min(povm, f, eps, TIGHT)
     assert report.residual_norm <= eps + 1e-9
     assert report.converged
+
+
+@pytest.mark.parametrize("record", [_random_basis_record, _goyeneche_fig2_record])
+def test_trace_min_kkt_certificate(record):
+    # at the optimum of min Tr X s.t. ||M[X] - f|| <= eps, X >= 0 with the ball
+    # active, S = I + M^dagger[r] / theta is PSD and complementary to X, where
+    # r = M[X] - f and theta = lambda_max(-M^dagger[r])
+    povm, f, eps = record()
+    report = estimate_trace_min(povm, f, eps, TIGHT)
+    x = report.raw.mat
+    r = np.einsum("mij,ji->m", povm.stack, x).real - f.values
+    g = np.einsum("m,mij->ij", r, povm.stack)
+    theta = -np.linalg.eigvalsh(g)[0]
+    s = np.eye(povm.dim) + g / theta
+    tr_x = np.trace(x).real
+    assert np.linalg.eigvalsh(s)[0] >= -1e-6
+    assert abs(np.trace(x @ s).real) / tr_x <= 1e-6
+    assert abs(np.linalg.norm(r) - eps) <= 1e-9
+    ls = estimate_ls(povm, f, TIGHT)
+    if ls.residual_norm <= eps:
+        assert tr_x <= np.trace(ls.raw.mat).real * (1 + 1e-6)
+
+
+def test_trace_min_certified_infeasible():
+    # the same projector listed twice with frequencies 0.6 and 0.2: every X
+    # gives equal entries, so the least residual is 0.2 sqrt(2) > eps
+    p0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
+    povm = Povm(2, (p0, p0))
+    f = MeasurementVector(np.array([0.6, 0.2]), kind="empirical_frequencies", total_shots=10)
+    with pytest.raises(InfeasibleError) as info:
+        estimate_trace_min(povm, f, 1e-3, TIGHT)
+    assert info.value.kind == "ls_residual_exceeds_radius"
+    assert "2.828427e-01" in str(info.value) and "1.000000e-03" in str(info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from brqst import (
 )
 from brqst.experiments import (
     measurement_for,
+    measurement_prefixes,
     robustness_rows,
     robustness_summary,
     strictness_rows,
@@ -115,6 +116,19 @@ def test_measurement_for_flammia_union():
     povm = measurement_for("flammia", 6, 2, RandomStream(15))
     assert validate_povm(povm).is_valid
     assert povm.basis_grouping() == [(0, 12), (12, 22)]
+
+
+@pytest.mark.parametrize("family", ["haar_global", "haar_local_qubits", "goyeneche", "flammia"])
+def test_measurement_prefixes_equal_separate_draws(family):
+    # the robustness sweep draws once and slices; that must equal drawing per count
+    counts = [1, 3, 5, 6]
+    prefixes = measurement_prefixes(family, 8, counts, RandomStream(17))
+    assert sorted(prefixes) == counts
+    for b in counts:
+        alone = measurement_for(family, 8, b, RandomStream(17))
+        np.testing.assert_array_equal(prefixes[b].stack, alone.stack)
+        for key in ("n_bases", "n_groups", "basis_grouping"):
+            assert prefixes[b].provenance.get(key) == alone.provenance.get(key)
 
 
 # ---------------------------------------------------------------------------

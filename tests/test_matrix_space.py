@@ -19,7 +19,7 @@ from brqst.estimators import (
     _project_psd,
     _vec,
 )
-from brqst.linalg import hvec
+from brqst.linalg import hvec, project_simplex
 
 SETTINGS = settings(max_examples=40, deadline=None)
 dims = st.integers(min_value=2, max_value=6)
@@ -73,6 +73,46 @@ def test_psd_projection_idempotent_nonexpansive(d, seed, scale):
     np.testing.assert_allclose(proj(px), px, rtol=0, atol=tol)
     assert np.linalg.eigvalsh(_mat(px, d))[0] >= -tol
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + tol
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, scale=scales, cap=st.floats(min_value=1e-3, max_value=1e3))
+def test_capped_psd_projection(d, seed, scale, cap):
+    # projection onto {X >= 0, Tr X <= cap}, the feasible set of one Pareto-curve point
+    gen = np.random.default_rng(seed)
+    proj = _project_psd(d, cap)
+    x, y = _hermitian(d, gen, scale), _hermitian(d, gen, scale)
+    px, py = proj(_vec(x)), proj(_vec(y))
+    tol = 1e-12 * max(scale, cap)
+    xp = _mat(px, d)
+    assert np.linalg.eigvalsh(xp)[0] >= -tol
+    assert np.trace(xp).real <= cap + tol
+    np.testing.assert_allclose(proj(px), px, rtol=0, atol=tol)
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + tol
+    clipped = project_psd(x).mat
+    if np.trace(clipped).real <= cap:
+        expected = clipped
+    else:
+        expected = cap * project_density(x / cap).mat
+    np.testing.assert_allclose(xp, expected, rtol=0, atol=tol)
+
+
+def _project_simplex_reference(w):
+    # project_simplex before it took a total
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, w.size + 1)
+    valid = u - css / ks > 0
+    k = int(ks[valid][-1])
+    theta = css[k - 1] / k
+    return np.maximum(w - theta, 0.0)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, scale=scales)
+def test_project_simplex_default_total_unchanged(d, seed, scale):
+    w = scale * np.random.default_rng(seed).standard_normal(d)
+    np.testing.assert_array_equal(project_simplex(w), _project_simplex_reference(w))
 
 
 @SETTINGS
