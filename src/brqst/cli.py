@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .completion import check_proposition1, complete_rankr, default_plan, \
-    extract_flammia, extract_goyeneche, falsify_strictness
+    extract_flammia, extract_goyeneche, falsify_strictness, measured_mask
 from .errors import BrqstError, DegenerateEstimateError, FailureSetError, InfeasibleError
 from .estimators import SolverConfig, default_epsilon, estimate_ls, estimate_mle, \
     estimate_trace_min
@@ -318,20 +318,8 @@ def certify(obj, povm_path, bases_path, rank, trials, out):
     prov = bs.provenance if bs is not None else povm.provenance
     construction = prov.get("construction")
     if construction in ("goyeneche", "flammia_rankr"):
-        d = povm.dim
-        mask = np.zeros((d, d), dtype=bool)
-        if construction == "goyeneche":
-            from .povm import goyeneche_pair_layout
-
-            np.fill_diagonal(mask, True)
-            for entry in goyeneche_pair_layout(d, prov["rank"]):
-                for m, n in entry["pairs"]:
-                    mask[m, n] = mask[n, m] = True
-        else:
-            r = prov["rank"]
-            mask[:r, :] = True
-            mask[:, :r] = True
-        prop1 = check_proposition1(mask, rank_complete=True)
+        prop1 = check_proposition1(measured_mask(construction, povm.dim, prov["rank"]),
+                                   rank_complete=True)
     report = falsify_strictness(povm, rank, trials, RandomStream(obj["seed"]).derive(29))
     payload = {
         "kind": "certify_report",

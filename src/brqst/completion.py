@@ -77,6 +77,27 @@ class SubmatrixPlan:
 # Extraction
 # ---------------------------------------------------------------------------
 
+def measured_mask(construction: str, d: int, r: int) -> np.ndarray:
+    """The d x d entries a rank-r probe family measures directly.
+
+    The diagonal-probing family (``"flammia_rankr"``) measures the first r
+    rows and columns; the paired-basis family (``"goyeneche"``) the
+    principal diagonal and the pairs of its layout, the first r diagonals.
+    """
+    mask = np.zeros((d, d), dtype=bool)
+    if construction == "flammia_rankr":
+        mask[:r, :] = True
+        mask[:, :r] = True
+    elif construction == "goyeneche":
+        np.fill_diagonal(mask, True)
+        for entry in goyeneche_pair_layout(d, r):
+            for m, n in entry["pairs"]:
+                mask[m, n] = mask[n, m] = True
+    else:
+        raise ValueError(f"no measured mask for construction {construction!r}")
+    return mask
+
+
 def extract_flammia(povm: Povm, p: MeasurementVector) -> PartialMatrix:
     """Measured entries (first r rows and columns) from a diagonal-probing record.
 
@@ -95,18 +116,15 @@ def extract_flammia(povm: Povm, p: MeasurementVector) -> PartialMatrix:
         raise ValueError("measurement vector length does not match the POVM")
     tr = float(vals.sum())
     grid = np.full((d, d), _NAN, dtype=np.complex128)
-    mask = np.zeros((d, d), dtype=bool)
     for k in range(r):
         grid[k, k] = vals[k] / a_k[k]
-        mask[k, k] = True
     for k in range(r):
         for n in range(k + 1, d):
             re = (vals[flammia_probe_index(d, r, k, n, imag=False)] / b_k[k] - tr) / 2
             im = (vals[flammia_probe_index(d, r, k, n, imag=True)] / b_k[k] - tr) / 2
             grid[n, k] = re + 1j * im
             grid[k, n] = re - 1j * im
-            mask[n, k] = mask[k, n] = True
-    return PartialMatrix(d, grid, mask)
+    return PartialMatrix(d, grid, measured_mask("flammia_rankr", d, r))
 
 
 def extract_goyeneche(bs: BasisSet, per_basis_probs: list[np.ndarray]) -> PartialMatrix:
@@ -127,9 +145,7 @@ def extract_goyeneche(bs: BasisSet, per_basis_probs: list[np.ndarray]) -> Partia
     if any(v.size != d for v in probs):
         raise ValueError("each per-basis vector must have one entry per outcome")
     grid = np.full((d, d), _NAN, dtype=np.complex128)
-    mask = np.zeros((d, d), dtype=bool)
     np.fill_diagonal(grid, probs[0].astype(np.complex128))
-    np.fill_diagonal(mask, True)
     layout = goyeneche_pair_layout(d, r)
     for k in range(1, r + 1):
         base = 1 + 4 * (k - 1)
@@ -142,8 +158,7 @@ def extract_goyeneche(bs: BasisSet, per_basis_probs: list[np.ndarray]) -> Partia
                 im = -(y_probs[2 * t] - y_probs[2 * t + 1]) / 2
                 grid[m, n] = re + 1j * im
                 grid[n, m] = re - 1j * im
-                mask[m, n] = mask[n, m] = True
-    return PartialMatrix(d, grid, mask)
+    return PartialMatrix(d, grid, measured_mask("goyeneche", d, r))
 
 
 # ---------------------------------------------------------------------------

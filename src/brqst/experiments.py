@@ -11,11 +11,13 @@ compares the three convex estimators on the same records.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -196,6 +198,33 @@ def measurement_prefixes(family: str, d: int, basis_counts: list[int],
 
 
 # ---------------------------------------------------------------------------
+# Worker pool
+# ---------------------------------------------------------------------------
+
+def _one_blas_thread():
+    """Run this process's OpenBLAS on one thread; do nothing if it is not found.
+
+    Looks for the OpenBLAS that numpy bundles.  Each sweep task is a chain
+    of small dense solves, so BLAS threads in several workers only
+    oversubscribe the cores.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+def _pool(threads: int):
+    """One process pool for a whole sweep, or, for one thread, None: run in this process."""
+    if threads <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread)
+
+
+# ---------------------------------------------------------------------------
 # Strictness sweep
 # ---------------------------------------------------------------------------
 
@@ -235,8 +264,7 @@ def run_strictness_sweep(dims: list[int], ranks: list[int], family: str,
         raise ValueError(f"unknown family {family!r}")
     cfg = cfg or SolverConfig(max_iterations=30_000, relative_tolerance=1e-12)
     results = []
-    # one pool for the whole sweep; None runs the tasks in this process
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    with _pool(threads) as pool:
         for d in dims:
             n_states = states_per_dim if states_per_dim is not None else 5 * d
             for r in ranks:
@@ -342,8 +370,7 @@ def run_robustness_sweep(dims: list[int], family: str, n_states: int,
     cfg = cfg or SolverConfig(max_iterations=20_000, relative_tolerance=1e-10)
     basis_counts = sorted(set(int(b) for b in basis_range))
     results = []
-    # one pool for the whole sweep; None runs the tasks in this process
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    with _pool(threads) as pool:
         for d in dims:
             n_shots = noise.shots(d)
             streams = [rng.derive(d, s) for s in range(n_states)]

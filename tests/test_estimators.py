@@ -21,8 +21,10 @@ from brqst import (
     estimate_trace_min,
     fidelity,
     fidelity_pure,
+    infidelity,
     random_mixed_hs,
     random_pure_state,
+    random_rank_r_state,
     simulate_counts,
 )
 
@@ -101,6 +103,18 @@ def test_ls_monotone_objective():
     report = estimate_ls(povm, f, TIGHT, keep_history=True)
     assert report.objective_history is not None
     assert (np.diff(report.objective_history) <= 0).all()
+
+
+def test_ls_table1_record_polishes_early():
+    # a noiseless Table-1 record (d=11, rank 2, 7 Haar bases): the polish after
+    # the short FISTA warm start reaches round-off, so the solve takes 132
+    # iterations; with the polish only after 500-iteration chunks it took 533
+    rho = random_rank_r_state(11, 2, RandomStream(116))
+    povm = bases_to_povm(build_random_bases(11, 7, RandomStream(216)))
+    report = estimate_ls(povm, apply_measurement_map(povm, rho), TIGHT)
+    assert infidelity(rho, report.estimate) < 1e-5
+    assert report.converged
+    assert report.iterations <= 264
 
 
 def test_ls_length_mismatch():

@@ -1,3 +1,6 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from brqst import (
     simulate_counts,
 )
 from brqst.experiments import (
+    _pool,
     measurement_for,
     measurement_prefixes,
     robustness_rows,
@@ -170,6 +174,24 @@ def test_strictness_sweep_threads_match_serial():
         assert np.array_equal(serial.infidelities[b], parallel.infidelities[b])
 
 
+def _blas_threads(_=None):
+    # thread count of the OpenBLAS bundled with numpy, or None if not found
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return int(getter())
+    return None
+
+
+def test_sweep_workers_run_one_blas_thread():
+    if _blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    with _pool(2) as pool:
+        assert set(pool.map(_blas_threads, range(4))) == {1}
+
+
 # ---------------------------------------------------------------------------
 # robustness sweep
 # ---------------------------------------------------------------------------
@@ -198,6 +220,19 @@ def test_robustness_sweep_shapes_and_determinism():
             assert np.array_equal(res1.infidelities[est][b], res2.infidelities[est][b])
             q25, q75 = res1.iqr[est][b]
             assert q25 <= res1.medians[est][b] <= q75
+
+
+def test_robustness_sweep_threads_match_serial():
+    kwargs = dict(dims=[4], family="haar_global", n_states=4,
+                  noise=NoiseModel(q=1e-3, shots_per_basis=400),
+                  basis_range=[3, 5], rng=RandomStream(22))
+    serial = run_robustness_sweep(threads=1, **kwargs)[0]
+    parallel = run_robustness_sweep(threads=2, **kwargs)[0]
+    assert serial.failures == parallel.failures
+    for est in ("ls", "trace", "mle"):
+        for b in (3, 5):
+            np.testing.assert_allclose(parallel.infidelities[est][b], serial.infidelities[est][b],
+                                       rtol=0, atol=1e-10)
 
 
 def test_robustness_rows_and_summary(tmp_path):

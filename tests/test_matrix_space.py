@@ -3,7 +3,7 @@
 The core works on the real view of a complex d x d matrix and applies the
 measurement map as the real view of the stacked POVM elements.  These tests
 tie that map to the Hermitian coordinates of ``hvec`` and to the trace
-formula, and check the projections and the polish Jacobian built on it.
+formula, and check the projections and the polish built on it.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from brqst import RandomStream, bases_to_povm, build_random_bases, project_density, project_psd
 from brqst.estimators import (
     _apply_elements,
+    _factor_jacobian,
+    _lm_residual_polish,
     _mat,
     _measurement_map,
     _project_density,
@@ -152,7 +154,7 @@ def test_real_view_jacobian_is_derivative_of_data_fit(d, seed, rank):
     a = _measurement_map(povm)
     v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
     dv = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
-    jac = 2.0 * _apply_elements(povm.stack, v).reshape(len(povm), -1).view(np.float64)
+    jac = _factor_jacobian(povm.stack, v, None)
 
     def fit(w):
         return a @ _vec(w @ w.conj().T)
@@ -160,3 +162,108 @@ def test_real_view_jacobian_is_derivative_of_data_fit(d, seed, rank):
     # central differences are exact for the quadratic map
     central = (fit(v + dv) - fit(v - dv)) / 2.0
     np.testing.assert_allclose(jac @ _vec(dv), central, rtol=0, atol=1e-11)
+
+
+def _low_rank(d, rank, gen, scale=1.0):
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    return scale * (v @ v.conj().T)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=4), cap=scales)
+def test_capped_jacobian_matches_central_difference(d, seed, rank, cap):
+    # on the face Tr X = cap the polish fits X = cap V V^dagger / ||V||_F^2
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    a = _measurement_map(povm)
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    dv = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+
+    def fit(w):
+        return a @ _vec(cap * (w @ w.conj().T) / np.linalg.norm(w) ** 2)
+
+    jac = _factor_jacobian(povm.stack, v, fit(v), cap)
+    h = 1e-5
+    central = (fit(v + h * dv) - fit(v - h * dv)) / (2 * h)
+    scale = cap * np.linalg.norm(dv) / np.linalg.norm(v)
+    np.testing.assert_allclose(jac @ _vec(dv), central, rtol=0, atol=1e-7 * scale)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=3), cap=scales)
+def test_capped_polish_stays_on_face(d, seed, rank, cap):
+    # an iterate on the cap is refined to a PSD matrix of trace exactly cap
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    a = _measurement_map(povm)
+    target = _low_rank(d, rank, gen)
+    fv = a @ _vec(cap * target / np.trace(target).real) + 1e-3 * cap * gen.standard_normal(len(povm))
+    start = _low_rank(d, d, gen)
+    x = _vec(cap * start / np.trace(start).real)
+    out = _lm_residual_polish(povm.stack, a, fv, x, cap=cap)
+    xp = _mat(out, d)
+    np.testing.assert_allclose(xp, xp.conj().T, rtol=0, atol=1e-14 * cap)
+    assert np.linalg.eigvalsh(xp)[0] >= -1e-12 * cap
+    assert abs(np.trace(xp).real - cap) <= 1e-12 * cap
+    r0, r1 = a @ x - fv, a @ out - fv
+    assert r1 @ r1 <= r0 @ r0
+
+
+def _lm_residual_polish_reference(stack, a, fv, x, iters=150):
+    # the polish before it took a cap
+    d = stack.shape[1]
+    w, vecs = np.linalg.eigh(_mat(x, d))
+    lmax = float(w[-1])
+    if lmax <= 1e-12:
+        return None
+    r_hat = min(d, int((w > 1e-3 * lmax).sum()) + 1)
+    idx = np.argsort(w)[::-1][:r_hat]
+    v = vecs[:, idx] * np.sqrt(np.maximum(w[idx], 0.0))
+
+    def residual(vv):
+        return a @ _vec(vv @ vv.conj().T) - fv
+
+    r = residual(v)
+    obj = 0.5 * float(r @ r)
+    mu = 1e-3
+    m = fv.size
+    eye = np.eye(2 * v.size)
+    for _ in range(iters):
+        j = 2.0 * _apply_elements(stack, v).reshape(m, -1).view(np.float64)
+        g = j.T @ r
+        a_lm = j.T @ j
+        accepted = False
+        for _ in range(30):
+            try:
+                delta = np.linalg.solve(a_lm + mu * eye, -g)
+            except np.linalg.LinAlgError:
+                mu *= 4.0
+                continue
+            v_new = v + delta.view(np.complex128).reshape(v.shape)
+            r_new = residual(v_new)
+            obj_new = 0.5 * float(r_new @ r_new)
+            if obj_new < obj:
+                accepted = True
+                mu = max(mu * 0.3, 1e-12)
+                break
+            mu *= 4.0
+        if not accepted:
+            break
+        v, r, obj = v_new, r_new, obj_new
+        if obj < 1e-28:
+            break
+    return _vec(v @ v.conj().T)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=3), below=st.booleans())
+def test_uncapped_polish_unchanged(d, seed, rank, below):
+    # with no cap, or a cap the iterate stays below, the polish is the plain one bit for bit
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    a = _measurement_map(povm)
+    fv = a @ _vec(_low_rank(d, rank, gen)) + 1e-3 * gen.standard_normal(len(povm))
+    x = _vec(_low_rank(d, d, gen))
+    cap = 2.0 * np.trace(_mat(x, d)).real if below else None
+    np.testing.assert_array_equal(_lm_residual_polish(povm.stack, a, fv, x, cap=cap),
+                                  _lm_residual_polish_reference(povm.stack, a, fv, x))
