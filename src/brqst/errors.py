@@ -27,12 +27,13 @@ class DegenerateEstimateError(BrqstError):
 class InfeasibleError(BrqstError):
     """The residual ball holds no feasible point of the program.
 
-    ``kind`` names the certificate when one was found.  Trace minimization
-    raises with ``"ls_residual_exceeds_radius"`` once its trace cap is
-    inactive above the radius: the least residual over X >= 0 then exceeds
-    the ball radius, so the ball holds no PSD matrix.  Maximum likelihood
-    raises without a kind when its penalty weight runs out before the ball
-    is met.
+    ``kind`` names the certificate.  Trace minimization raises with
+    ``"ls_residual_exceeds_radius"`` once its trace cap is inactive above
+    the radius: the least residual over X >= 0 then exceeds the ball radius,
+    so the ball holds no PSD matrix.  Maximum likelihood raises with
+    ``"density_residual_exceeds_radius"`` when the least residual over
+    density matrices exceeds the radius, so the ball holds no density
+    matrix.
     """
 
     def __init__(self, message: str, kind: str | None = None):

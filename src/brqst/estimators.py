@@ -6,17 +6,20 @@ likelihood inside a residual ball.  Trace minimization is a root find on the
 Pareto curve phi(tau) = min ||M[X] - f|| over {X >= 0, Tr X <= tau}: Newton
 steps on tau solve phi(tau) = eps, each phi(tau) being the least-squares
 program with a trace cap (van den Berg & Friedlander, SIAM J. Sci. Comput.
-31, 890 (2008)).  Maximum likelihood handles its ball by a squared-hinge
-penalty whose weight doubles until the ball is met.
+31, 890 (2008)).  Maximum likelihood first solves the plain trace-one
+program (Shang, Zhang & Ng, Phys. Rev. A 95, 062336 (2017)); only when that
+point misses the ball does it certify the ball nonempty, with the
+least-residual density matrix, and then root-find the ball's Lagrange
+multiplier until the Lagrangian duality gap closes.
 
-Least squares and each point of the Pareto curve polish the iterate by
-Levenberg-Marquardt on a low-rank factor X = V V^dagger: first after a short
-warm start of 100 accelerated iterations, then after every 500.  On
-noiseless records the first polish already reaches round-off.  When the
-iterate sits on its trace cap the polish runs on the face Tr X = tau, on
-X = tau V V^dagger / ||V||_F^2, so its candidate stays feasible and can be
-adopted.  The penalty rounds of maximum likelihood have no polish and run
-chunks of 500.
+Every solve polishes the iterate on a low-rank factor X = V V^dagger: first
+after a short warm start of 100 accelerated iterations, then after every
+500.  Least squares and each point of the Pareto curve polish by
+Levenberg-Marquardt, which on noiseless records reaches round-off at the
+first polish.  When the iterate sits on its trace cap the polish runs on the
+face Tr X = tau, on X = tau V V^dagger / ||V||_F^2, so its candidate stays
+feasible and can be adopted.  Maximum likelihood polishes by damped Fisher
+scoring on the trace-normalized factor.
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -49,9 +52,6 @@ class SolverConfig:
 
     max_iterations: int = 50_000
     relative_tolerance: float = 1e-9
-    shrink: float = 0.5
-    growth: float = 1.1
-    restart: bool = True
 
     def __post_init__(self):
         if self.relative_tolerance <= 0:
@@ -74,6 +74,9 @@ class EstimateReport:
 
 
 _CONSECUTIVE_OK = 10
+# backtracking factor of the step size, and its growth after a step that needed none
+_SHRINK = 0.5
+_GROWTH = 1.1
 
 
 def _operator_norm_sq(s: np.ndarray, iters: int = 40) -> float:
@@ -95,15 +98,16 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
            project: Callable[[np.ndarray], np.ndarray],
            x0: np.ndarray,
            step0: float,
-           cfg: SolverConfig,
+           budget: int,
+           tol: float,
            keep_history: bool = False) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
     """Monotone FISTA with backtracking line search and gradient restart.
 
-    The reported objective sequence is non-increasing: a candidate that does
-    not improve on the incumbent is rejected (the incumbent is kept) and the
-    momentum sequence restarts.  Convergence is declared after
-    ``_CONSECUTIVE_OK`` consecutive iterations whose relative objective
-    change falls below the configured tolerance.
+    Runs at most ``budget`` iterations.  The reported objective sequence is
+    non-increasing: a candidate that does not improve on the incumbent is
+    rejected (the incumbent is kept) and the momentum sequence restarts.
+    Convergence is declared after ``_CONSECUTIVE_OK`` consecutive iterations
+    whose relative objective change falls below ``tol``.
     """
     x = project(x0)
     y = x.copy()
@@ -114,7 +118,7 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     history = [f_x] if keep_history else None
     it = 0
     converged = False
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, budget + 1):
         f_y, g_y = value_grad(y)
         shrunk = False
         while True:
@@ -124,16 +128,16 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
             bound = f_y + g_y @ dz + (dz @ dz) / (2 * t) + 1e-18 * max(1.0, abs(f_y))
             if f_z <= bound or t < 1e-20:
                 break
-            t *= cfg.shrink
+            t *= _SHRINK
             shrunk = True
         if not shrunk:
-            t *= cfg.growth
+            t *= _GROWTH
         accepted = f_z <= f_x
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         if accepted:
             x_next, f_next = z, f_z
             y = z + ((theta - 1.0) / theta_next) * (z - x)
-            if cfg.restart and (y - z) @ (z - x) > 0:
+            if (y - z) @ (z - x) > 0:
                 y = z.copy()
                 theta_next = 1.0
         else:
@@ -141,7 +145,7 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
             y = x.copy()
             theta_next = 1.0
         rel = abs(f_x - f_next) / max(abs(f_x), abs(f_next), 1e-300)
-        streak = streak + 1 if rel < cfg.relative_tolerance else 0
+        streak = streak + 1 if rel < tol else 0
         x, f_x, theta = x_next, f_next, theta_next
         if history is not None:
             history.append(f_x)
@@ -293,13 +297,15 @@ def _project_density(d: int):
 
 
 def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
-                       x: np.ndarray, iters: int = 120) -> np.ndarray | None:
+                       x: np.ndarray, mu: float = 0.0, iters: int = 120) -> np.ndarray | None:
     """Damped Fisher scoring for the log-likelihood on a trace-normalized factor.
 
     Likelihood surfaces near flat directions leave first-order methods with
     large state error at tiny objective error; scoring with the Fisher
-    information metric removes that.  Returns the real view of the refined
-    density matrix, or None when the iterate is essentially zero.
+    information metric removes that.  With ``mu`` > 0 the objective carries
+    the penalty (mu / 2) ||M[rho] - f||^2 as well, scored by its Gauss-Newton
+    metric.  Returns the real view of the refined density matrix, or None
+    when the iterate is essentially zero.
     """
     d = stack.shape[1]
     w, vecs = np.linalg.eigh(_mat(x, d))
@@ -312,39 +318,40 @@ def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
     idx = np.argsort(w)[::-1][:r_hat]
     v = vecs[:, idx] * np.sqrt(np.maximum(w[idx], 1e-15))
 
-    def nll_of(vv: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(vv: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         tau = float(np.sum((vv.conj() * vv).real))
-        rho = (vv @ vv.conj().T) / tau
-        p = np.maximum(a @ _vec(rho), _LOG_CLAMP)
-        return -float(fa @ np.log(p[active])), p
+        q = a @ _vec((vv @ vv.conj().T) / tau)
+        p = np.maximum(q, _LOG_CLAMP)
+        r = q - fv
+        return -float(fa @ np.log(p[active])) + 0.5 * mu * float(r @ r), p, r
 
-    obj, p = nll_of(v)
-    mu = 1e-2
+    obj, p, r = objective(v)
+    lm = 1e-2
     eye = np.eye(2 * v.size)
     for _ in range(iters):
         # the likelihood sees rho = V V^dagger / ||V||^2, the factor map with cap 1
         jac = _factor_jacobian(stack, v, p, 1.0)
-        weights = np.where(active, fv / (p * p), 0.0)
-        grad = -jac.T @ np.where(active, fv / p, 0.0)
+        weights = np.where(active, fv / (p * p), 0.0) + mu
+        grad = jac.T @ (mu * r - np.where(active, fv / p, 0.0))
         fisher = (jac * weights[:, None]).T @ jac
         accepted = False
         for _ in range(25):
             try:
-                delta = np.linalg.solve(fisher + mu * eye, -grad)
+                delta = np.linalg.solve(fisher + lm * eye, -grad)
             except np.linalg.LinAlgError:
-                mu *= 4.0
+                lm *= 4.0
                 continue
             v_new = v + delta.view(np.complex128).reshape(v.shape)
-            obj_new, p_new = nll_of(v_new)
+            obj_new, p_new, r_new = objective(v_new)
             if obj_new < obj:
                 accepted = True
-                mu = max(mu * 0.3, 1e-10)
+                lm = max(lm * 0.3, 1e-10)
                 break
-            mu *= 4.0
+            lm *= 4.0
         if not accepted:
             break
         rel = (obj - obj_new) / max(abs(obj), 1e-300)
-        v, obj, p = v_new, obj_new, p_new
+        v, obj, p, r = v_new, obj_new, p_new, r_new
         if rel < 1e-14:
             break
     rho = (v @ v.conj().T) / float(np.sum((v.conj() * v).real))
@@ -359,22 +366,27 @@ _WARM_START = 100
 _BALL_SLACK = 1e-9
 # cap on Newton steps along the Pareto curve; Fig-2 records take 4 to 7
 _NEWTON_STEPS = 100
+# cap on the solves of MLE's multiplier search; Fig-2 records with an active ball take 11 to 18
+_MULTIPLIER_SOLVES = 60
+# MLE's multiplier search stops at this relative duality gap
+_GAP_TOL = 1e-8
+# model probabilities are clamped below at this inside the log of the likelihood
+_LOG_CLAMP = 1e-12
 
 
 def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
            keep_history: bool,
-           polish: Callable[[np.ndarray], np.ndarray | None] | None = None,
+           polish: Callable[[np.ndarray], np.ndarray | None],
            ) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
-    """Accelerated projected gradient interleaved with an optional polish.
+    """Accelerated projected gradient interleaved with a polish.
 
-    After every chunk of iterations ``polish`` (when given) maps the iterate
-    to a candidate, or to None.  The first chunk is a short warm start of
-    ``_WARM_START`` iterations, the later ones ``_CHUNK`` long; without a
-    polish every chunk is ``_CHUNK`` long.  A candidate is projected back
-    onto the feasible set and adopted only when it lowers the program
-    objective, so the reported objective sequence stays non-increasing and
-    the result remains a solution of the convex program, never merely of
-    the factored surrogate.
+    After every chunk of iterations ``polish`` maps the iterate to a
+    candidate, or to None.  The first chunk is a short warm start of
+    ``_WARM_START`` iterations, the later ones ``_CHUNK`` long.  A candidate
+    is projected back onto the feasible set and adopted only when it lowers
+    the program objective, so the reported objective sequence stays
+    non-increasing and the result remains a solution of the convex program,
+    never merely of the factored surrogate.
     """
     x = project(np.asarray(x0, dtype=float))
     f_x = value(x)
@@ -382,29 +394,23 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     converged = False
     history = [f_x] if keep_history else None
     while total < cfg.max_iterations:
-        chunk = _WARM_START if polish is not None and total == 0 else _CHUNK
-        budget = min(chunk, cfg.max_iterations - total)
-        chunk_cfg = SolverConfig(max_iterations=budget,
-                                 relative_tolerance=cfg.relative_tolerance,
-                                 shrink=cfg.shrink, growth=cfg.growth,
-                                 restart=cfg.restart)
-        x, f_x, used, chunk_conv, hist = _fista(value_grad, value, project, x,
-                                                step0, chunk_cfg, keep_history)
+        budget = min(_WARM_START if total == 0 else _CHUNK, cfg.max_iterations - total)
+        x, f_x, used, chunk_conv, hist = _fista(value_grad, value, project, x, step0,
+                                                budget, cfg.relative_tolerance, keep_history)
         total += used
         if history is not None and hist is not None:
             history.extend(hist[1:])
         improved = False
-        if polish is not None:
-            xp = polish(x)
-            if xp is not None:
-                xp = project(xp)
-                f_p = value(xp)
-                if f_p < f_x:
-                    # keep alternating only while the polish still pays off
-                    improved = f_p < 0.5 * f_x
-                    x, f_x = xp, f_p
-                    if history is not None:
-                        history.append(f_x)
+        xp = polish(x)
+        if xp is not None:
+            xp = project(xp)
+            f_p = value(xp)
+            if f_p < f_x:
+                # keep alternating only while the polish still pays off
+                improved = f_p < 0.5 * f_x
+                x, f_x = xp, f_p
+                if history is not None:
+                    history.append(f_x)
         if chunk_conv and not improved:
             converged = True
             break
@@ -468,82 +474,6 @@ def estimate_ls(povm: Povm, f: MeasurementVector,
     return _finish(x, d, residual, residual, iters, conv, hist)
 
 
-def _penalized(povm: Povm, f: MeasurementVector, eps: float, cfg: SolverConfig,
-               base_value: Callable, base_grad: Callable,
-               project, x0: np.ndarray, step0: float,
-               keep_history: bool) -> tuple[np.ndarray, float, int, bool, np.ndarray | None, float]:
-    """Solve min base(x) s.t. ||Ax - f|| <= eps via a squared-hinge penalty.
-
-    The penalty weight doubles until the ball constraint is met.  At each
-    weight the penalized value of the inner iterate lower-bounds the true
-    optimum, so a running feasible incumbent (from the data-fit polish) can
-    be returned as soon as its base value matches that bound; this is what
-    terminates the loop on degenerate instances where the plain iterate
-    approaches feasibility only as the weight diverges.
-    """
-    a = _measurement_map(povm)
-    fv = f.values
-    lam = 1.0
-    x = x0
-    total_iters = 0
-    lam_max = 1e16
-    # later rounds are warm-started; give each a bounded slice of the budget
-    round_budget = max(200, min(cfg.max_iterations, 600))
-    round_cfg = SolverConfig(max_iterations=round_budget,
-                             relative_tolerance=cfg.relative_tolerance,
-                             shrink=cfg.shrink, growth=cfg.growth, restart=cfg.restart)
-    incumbent = None
-    incumbent_base = np.inf
-    best_fit = None
-    best_fit_resid = np.inf
-    while True:
-        def value(xx: np.ndarray) -> float:
-            r = a @ xx - fv
-            gap = max(_norm(r) - eps, 0.0)
-            return base_value(xx, r) + lam * gap * gap
-
-        def value_grad(xx: np.ndarray) -> tuple[float, np.ndarray]:
-            r = a @ xx - fv
-            nrm = _norm(r)
-            gap = max(nrm - eps, 0.0)
-            val = base_value(xx, r) + lam * gap * gap
-            grad = base_grad(xx, r)
-            if gap > 0.0 and nrm > 0.0:
-                grad = grad + (2.0 * lam * gap / nrm) * (a.T @ r)
-            return val, grad
-
-        x, f_x, iters, conv, hist = _solve(value_grad, value, project, x, step0,
-                                           round_cfg, keep_history)
-        total_iters += iters
-        resid = _norm(a @ x - fv)
-        if resid <= eps + _BALL_SLACK:
-            return x, f_x, total_iters, conv, hist, resid
-        # refine the raw data fit, chaining from the best fit found so far
-        xc = _lm_residual_polish(povm.stack, a, fv,
-                                 best_fit if best_fit is not None else x, iters=400)
-        if xc is not None:
-            rc_raw = _norm(a @ xc - fv)
-            if rc_raw < best_fit_resid:
-                best_fit, best_fit_resid = xc, rc_raw
-            xcp = project(xc)
-            rc = a @ xcp - fv
-            if _norm(rc) <= eps + _BALL_SLACK:
-                bc = base_value(xcp, rc)
-                if bc < incumbent_base:
-                    incumbent, incumbent_base = xcp, bc
-        if incumbent is not None and (conv or lam >= 64.0):
-            # the (near-)converged iterate's base value lower-bounds the optimum
-            base_x = base_value(x, a @ x - fv)
-            if incumbent_base <= base_x + 1e-5 * max(1.0, abs(incumbent_base)):
-                resid_inc = _norm(a @ incumbent - fv)
-                return incumbent, incumbent_base, total_iters, True, hist, resid_inc
-        lam *= 2.0
-        if lam > lam_max:
-            raise InfeasibleError(
-                f"residual {resid:.3e} cannot be brought inside the ball of radius {eps:.3e}"
-            )
-
-
 def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
                        cfg: SolverConfig = SolverConfig(),
                        keep_history: bool = False) -> EstimateReport:
@@ -600,7 +530,29 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
                    conv and phi <= eps + _BALL_SLACK, hist)
 
 
-_LOG_CLAMP = 1e-12
+def _likelihood(a: np.ndarray, fv: np.ndarray, mu: float):
+    """Value and value-and-gradient of NLL(x) + (mu / 2) ||A x - f||^2.
+
+    NLL(x) = -sum_mu f_mu log p_mu over the outcomes with f_mu > 0, where
+    p = A x is clamped below at ``_LOG_CLAMP`` inside the log.
+    """
+    active = fv > 0
+    fa = fv[active]
+
+    def value(x: np.ndarray) -> float:
+        p = a @ x
+        r = p - fv
+        return -float(fa @ np.log(np.maximum(p[active], _LOG_CLAMP))) + 0.5 * mu * float(r @ r)
+
+    def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        p = a @ x
+        r = p - fv
+        pa = np.maximum(p[active], _LOG_CLAMP)
+        w = mu * r
+        w[active] -= fa / pa
+        return -float(fa @ np.log(pa)) + 0.5 * mu * float(r @ r), a.T @ w
+
+    return value, value_grad
 
 
 def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
@@ -608,49 +560,93 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
                  keep_history: bool = False) -> EstimateReport:
     """Trace-one maximum likelihood inside a residual ball.
 
-    Minimizes -sum_mu f_mu log Tr(E_mu rho) over density matrices, with model
-    probabilities clamped below at 1e-12 inside the log and the same
-    penalty scheme enforcing ||M[rho] - f||_2 <= eps.
+    Minimizes NLL(rho) = -sum_mu f_mu log Tr(E_mu rho) over density matrices
+    rho with ||M[rho] - f||_2 <= eps, model probabilities clamped below at
+    1e-12 inside the log.  Every solve runs on the shared core, the
+    likelihood ones with the Fisher scoring polish, in three steps:
+
+    1. The plain MLE rho_0 over density matrices.  If it lies in the ball,
+       the ball is inactive and rho_0 is optimal.
+    2. Otherwise the least-residual density matrix rho_inf (least squares
+       over density matrices, polished on the face Tr X = 1).  If even its
+       residual exceeds eps, no density matrix lies in the ball:
+       :class:`InfeasibleError` of kind ``"density_residual_exceeds_radius"``.
+    3. Otherwise the ball is active.  rho(mu) minimizes
+       NLL + (mu / 2) ||M[rho] - f||^2, and the multiplier mu is bracketed
+       from 1 / ||r_0||^2 by factors of 4, then bisected in log mu, each
+       solve warm-started.  A solve that lands in the ball gives a feasible
+       point and, with its mu, the Lagrangian lower bound
+       NLL(rho_mu) + (mu / 2)(||r_mu||^2 - eps^2) on the optimum.  The search
+       stops when this pair's duality gap (mu / 2)(eps^2 - ||r_mu||^2) falls
+       below ``_GAP_TOL`` relative, and returns the last feasible point
+       (rho_inf, the end mu = infinity, if no solve lands in the ball).
+
+    ``iterations`` counts the core iterations of every solve.
+    ``keep_history`` records the NLL along the plain solve, or, when the ball
+    is active, the NLL of the last feasible point after each multiplier solve.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_lengths(povm, f)
     d = povm.dim
-    a = _measurement_map(povm)
-    fv = np.maximum(f.values, 0.0)
-    active = fv > 0
+    fv = f.values
+    a, fit_value, fit_grad, fit_polish = _data_fit(povm, fv)
+    s2 = _operator_norm_sq(povm.coefficient_matrix)
+    lip = s2 * max(1.0, 1.0 / max(fv.max(), _LOG_CLAMP))
+    density = _project_density(d)
+    nll, _ = _likelihood(a, fv, 0.0)
+    radius = eps + _BALL_SLACK
 
-    def base_value(x: np.ndarray, r: np.ndarray) -> float:
-        p = np.maximum(r + fv, _LOG_CLAMP)
-        return -float(fv[active] @ np.log(p[active]))
+    def solve(mu: float, x0: np.ndarray, history: bool = False):
+        value, value_grad = _likelihood(a, fv, mu)
+        polish = functools.partial(_fisher_polish_nll, povm.stack, a, fv, mu=mu)
+        x, _, iters, conv, hist = _solve(value_grad, value, density, x0, 1.0 / (lip + mu * s2),
+                                         cfg, history, polish)
+        return x, a @ x - fv, iters, conv, hist
 
-    def base_grad(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        p = np.maximum(r + fv, _LOG_CLAMP)
-        w = np.where(active, fv / p, 0.0)
-        return -(a.T @ w)
+    x0, r0, total, conv, hist = solve(0.0, _vec(np.eye(d, dtype=np.complex128) / d), keep_history)
+    if _norm(r0) <= radius:
+        return _finish(x0, d, nll(x0), _norm(r0), total, conv, hist)
 
-    lip = _operator_norm_sq(povm.coefficient_matrix) * max(1.0, 1.0 / max(fv.max(), _LOG_CLAMP))
-    x0 = _vec(np.eye(d, dtype=np.complex128) / d)
-    project = _project_density(d)
-    x, f_x, iters, conv, hist, resid = _penalized(
-        povm, f, eps, cfg, base_value, base_grad, project, x0, 1.0 / lip, keep_history,
-    )
+    x_inf, _, iters, _, _ = _solve(fit_grad, fit_value, density, x0, 1.0 / s2, cfg, False,
+                                   functools.partial(fit_polish, cap=1.0))
+    total += iters
+    r_inf = a @ x_inf - fv
+    if _norm(r_inf) > radius:
+        raise InfeasibleError(
+            f"least residual {_norm(r_inf):.6e} over density matrices exceeds the ball "
+            f"radius {eps:.6e}",
+            kind="density_residual_exceeds_radius",
+        )
 
-    def nll_at(xx: np.ndarray) -> float:
-        p = np.maximum(a @ xx, _LOG_CLAMP)
-        return -float(fv[active] @ np.log(p[active]))
-
-    # likelihood refinement: keep only if it improves the program, feasibility included
-    xp = _fisher_polish_nll(povm.stack, a, fv, x)
-    if xp is not None:
-        xp = project(xp)
-        resid_p = _norm(a @ xp - fv)
-        if resid_p <= eps + _BALL_SLACK and nll_at(xp) < nll_at(x):
-            x, resid = xp, resid_p
-            conv = True  # scoring stalls only at a stationary likelihood point
-    objective = nll_at(x)
-    return _finish(x, d, objective, resid, iters, conv and resid <= eps + _BALL_SLACK, hist,
-                   normalize=True)
+    x_ball, r_ball, nll_ball = x_inf, r_inf, nll(x_inf)
+    gap = math.inf
+    mu_lo, mu_hi = 0.0, math.inf
+    mu = 1.0 / float(r0 @ r0)
+    x = x0
+    history = [nll_ball] if keep_history else None
+    for _ in range(_MULTIPLIER_SOLVES):
+        x, r, iters, _, _ = solve(mu, x)
+        total += iters
+        rr = float(r @ r)
+        if math.sqrt(rr) <= radius:
+            mu_hi, x_ball, r_ball, nll_ball = mu, x, r, nll(x)
+            gap = 0.5 * mu * (eps * eps - rr)
+        else:
+            mu_lo = mu
+        if history is not None:
+            history.append(nll_ball)
+        if gap <= _GAP_TOL * abs(nll_ball):
+            break
+        if mu_hi == math.inf:
+            mu *= 4.0
+        elif mu_lo == 0.0:
+            mu /= 4.0
+        else:
+            mu = math.sqrt(mu_lo * mu_hi)
+    hist = np.array(history) if history is not None else None
+    return _finish(x_ball, d, nll_ball, _norm(r_ball), total,
+                   gap <= _GAP_TOL * abs(nll_ball), hist)
 
 
 def default_epsilon(b: int, d: int, n_shots: int) -> float:

@@ -107,12 +107,25 @@ class RobustnessResult:
 # Data simulation
 # ---------------------------------------------------------------------------
 
-def _basis_probabilities(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    p = np.real(np.einsum("ik,ij,jk->k", u.conj(), rho, u))
-    if p.min() < -1e-10:
-        raise ValueError(f"negative outcome probability {p.min():.3e}")
-    p = np.maximum(p, 0.0)
-    return p / p.sum()
+def _basis_frequencies(povm: Povm, rho: np.ndarray, n_shots: int,
+                       gen: np.random.Generator) -> list[np.ndarray]:
+    """Outcome frequencies of each basis group of a union POVM, one block per group.
+
+    Each block is one multinomial sample of ``n_shots`` from the group's
+    outcome probabilities, or those probabilities themselves when
+    ``n_shots`` is zero (the infinite-shot limit).  The elements of a union
+    of b groups carry weight 1/b, so the probabilities are b Tr(E_mu rho).
+    """
+    groups = povm.basis_grouping()
+    blocks = []
+    for lo, hi in groups:
+        vals = np.einsum("mij,ji->m", povm.stack[lo:hi], rho).real * len(groups)
+        if vals.min() < -1e-10:
+            raise ValueError(f"negative outcome probability {vals.min():.3e}")
+        p = np.maximum(vals, 0.0)
+        p = p / p.sum()
+        blocks.append(gen.multinomial(n_shots, p) / n_shots if n_shots > 0 else p)
+    return blocks
 
 
 def simulate_counts(bs: BasisSet, rho, n_shots: int,
@@ -128,15 +141,12 @@ def simulate_counts(bs: BasisSet, rho, n_shots: int,
     w = np.linalg.eigvalsh(hermitianize(m))
     if abs(tr - 1.0) > 1e-8 or w[0] < -1e-8:
         raise ValueError("rho must be PSD with unit trace to 1e-8")
+    if n_shots < 1:
+        raise ValueError("n_shots must be at least 1")
     gen = rng.generator() if isinstance(rng, RandomStream) else rng
     b = len(bs.bases)
-    blocks = []
-    for u in bs.bases:
-        p = _basis_probabilities(u, m)
-        counts = gen.multinomial(n_shots, p)
-        blocks.append(counts / (n_shots * b))
-    return MeasurementVector(np.concatenate(blocks), kind="empirical_frequencies",
-                             total_shots=b * n_shots)
+    freqs = np.concatenate(_basis_frequencies(bases_to_povm(bs), m, n_shots, gen)) / b
+    return MeasurementVector(freqs, kind="empirical_frequencies", total_shots=b * n_shots)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +320,9 @@ def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
     sigma = hermitianize((1.0 - q) * np.outer(psi, psi.conj()) + q * tau.mat)
     cfg = SolverConfig(max_iterations=max_iterations,
                        relative_tolerance=relative_tolerance)
-    b_max = max(basis_counts)
     povms = measurement_prefixes(family, d, basis_counts, stream.derive(2))
-    povm_full = povms[b_max]
-    groups = povm_full.basis_grouping()
-    count_gen = stream.derive(3).generator()
-    per_group_freq = []
-    for gi, (lo, hi) in enumerate(groups):
-        vals = np.einsum("mij,ji->m", povm_full.stack[lo:hi], sigma).real * b_max
-        p = np.maximum(vals, 0.0)
-        p = p / p.sum()
-        if n_shots > 0:
-            per_group_freq.append(count_gen.multinomial(n_shots, p) / n_shots)
-        else:
-            per_group_freq.append(p)
+    per_group_freq = _basis_frequencies(povms[max(basis_counts)], sigma, n_shots,
+                                        stream.derive(3).generator())
     out: dict[str, dict[int, float]] = {est: {} for est in ESTIMATORS}
     for b in basis_counts:
         povm = povms[b]

@@ -27,6 +27,8 @@ from brqst import (
     random_rank_r_state,
     simulate_counts,
 )
+from brqst.experiments import _basis_frequencies, measurement_prefixes
+from brqst.linalg import hermitianize
 
 TIGHT = SolverConfig(max_iterations=30_000, relative_tolerance=1e-12)
 
@@ -245,8 +247,82 @@ def test_mle_infeasible_ball():
     f = MeasurementVector(np.array([0.5]), kind="empirical_frequencies", total_shots=10)
     # any density matrix maps to exactly 1.0, so a ball of radius 1e-3 around
     # 0.5 cannot be reached
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as info:
         estimate_mle(povm, f, 1e-3, SolverConfig(max_iterations=2000))
+    assert info.value.kind == "density_residual_exceeds_radius"
+
+
+def _fig2_sweep_record(seed, state, b, d=8, q=1e-3, shots=2400):
+    # the record of one state at b paired bases, drawn as run_robustness_sweep
+    # draws it: counts for all 9 bases from the state's stream, sliced to b
+    stream = RandomStream(seed).derive(d, state)
+    psi = random_pure_state(d, stream.derive(0))
+    tau = random_mixed_hs(d, stream.derive(1))
+    sigma = hermitianize((1 - q) * np.outer(psi, psi.conj()) + q * tau.mat)
+    povms = measurement_prefixes("goyeneche", d, [b, 9], stream.derive(2))
+    blocks = _basis_frequencies(povms[9], sigma, shots, stream.derive(3).generator())
+    f = MeasurementVector(np.concatenate(blocks[:b]) / b, kind="empirical_frequencies",
+                          total_shots=b * shots)
+    return povms[b], f, default_epsilon(b, d, shots) / b
+
+
+SWEEP_CFG = SolverConfig(max_iterations=20_000, relative_tolerance=1e-10)
+
+
+def _mle_duality_gap(povm, f, eps, rho):
+    # For mu >= 0 and L_mu = NLL + (mu / 2)(||M[.] - f||^2 - eps^2), every density
+    # matrix sigma in the ball has NLL(sigma) >= L_mu(sigma) >= L_mu(rho) +
+    # Tr(G_mu (sigma - rho)) >= L_mu(rho) + lambda_min(G_mu) - Tr(G_mu rho), with
+    # G_mu the gradient of L_mu at rho (convexity).  Returns NLL(rho) minus the
+    # largest of these lower bounds over mu, relative to NLL(rho).
+    fv = f.values
+    p = np.einsum("mij,ji->m", povm.stack, rho).real
+    r = p - fv
+    nll = -float(fv[fv > 0] @ np.log(p[fv > 0]))
+    g0 = np.einsum("m,mij->ij", np.where(fv > 0, -fv / np.maximum(p, 1e-300), 0.0), povm.stack)
+    g1 = np.einsum("m,mij->ij", r, povm.stack)
+
+    def bound(log_mu):
+        mu = np.exp(log_mu)
+        g = g0 + mu * g1
+        return (nll + 0.5 * mu * (r @ r - eps * eps) + np.linalg.eigvalsh(g)[0]
+                - np.trace(g @ rho).real)
+
+    # the bound is concave in mu: scan, then golden-section search in log mu
+    grid = np.linspace(np.log(1e-3), np.log(1e8), 221)
+    i = int(np.argmax([bound(t) for t in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    for _ in range(60):
+        m1, m2 = lo + 0.382 * (hi - lo), hi - 0.382 * (hi - lo)
+        if bound(m1) < bound(m2):
+            lo = m1
+        else:
+            hi = m2
+    return (nll - bound(0.5 * (lo + hi))) / abs(nll)
+
+
+def test_mle_active_ball_duality_gap():
+    # state 11 of a seed-12 d=8 Fig-2 sweep at b=5: the plain MLE misses the
+    # ball, which still holds density matrices, so the ball is active
+    povm, f, eps = _fig2_sweep_record(12, 11, 5)
+    assert estimate_mle(povm, f, 1.0, SWEEP_CFG).residual_norm > eps
+    report = estimate_mle(povm, f, eps, SWEEP_CFG)
+    rho = report.raw.mat
+    assert report.converged
+    assert eps * (1 - 1e-4) <= report.residual_norm <= eps + 1e-9
+    assert abs(np.trace(rho).real - 1.0) <= 1e-9
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert _mle_duality_gap(povm, f, eps, rho) <= 1e-8
+
+
+def test_mle_inactive_ball_respects_iteration_budget():
+    # with the ball inactive the plain MLE is the answer, and its one solve
+    # stops at the configured budget
+    povm, f, eps = _fig2_sweep_record(12, 0, 9)
+    cfg = SolverConfig(max_iterations=50, relative_tolerance=1e-10)
+    report = estimate_mle(povm, f, eps, cfg)
+    assert report.residual_norm < eps
+    assert report.iterations <= cfg.max_iterations
 
 
 # ---------------------------------------------------------------------------
