@@ -6,11 +6,14 @@ likelihood inside a residual ball.  Trace minimization is a root find on the
 Pareto curve phi(tau) = min ||M[X] - f|| over {X >= 0, Tr X <= tau}: Newton
 steps on tau solve phi(tau) = eps, each phi(tau) being the least-squares
 program with a trace cap (van den Berg & Friedlander, SIAM J. Sci. Comput.
-31, 890 (2008)).  Maximum likelihood first solves the plain trace-one
-program (Shang, Zhang & Ng, Phys. Rev. A 95, 062336 (2017)); only when that
-point misses the ball does it certify the ball nonempty, with the
-least-residual density matrix, and then root-find the ball's Lagrange
-multiplier until the Lagrangian duality gap closes.
+31, 890 (2008)).  Each capped program is solved only until its duality gap,
+read off the same eigendecomposition the Newton step needs, is small
+against phi - eps, and the step is taken from the dual lower bound, so the
+caps approach the optimal trace from below.  Maximum likelihood first
+solves the plain trace-one program (Shang, Zhang & Ng, Phys. Rev. A 95,
+062336 (2017)); only when that point misses the ball does it certify the
+ball nonempty, with the least-residual density matrix, and then root-find
+the ball's Lagrange multiplier until the Lagrangian duality gap closes.
 
 Every solve polishes the iterate on a low-rank factor X = V V^dagger: first
 after a short warm start of 100 accelerated iterations, then after every
@@ -74,6 +77,8 @@ class EstimateReport:
 
 
 _CONSECUTIVE_OK = 10
+# iterations between two checks of a solve's optional stop test
+_STOP_EVERY = 10
 # backtracking factor of the step size, and its growth after a step that needed none
 _SHRINK = 0.5
 _GROWTH = 1.1
@@ -100,14 +105,18 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
            step0: float,
            budget: int,
            tol: float,
-           keep_history: bool = False) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
+           keep_history: bool = False,
+           stop: Callable[[np.ndarray], bool] | None = None,
+           ) -> tuple[np.ndarray, float, int, bool, bool, np.ndarray | None]:
     """Monotone FISTA with backtracking line search and gradient restart.
 
     Runs at most ``budget`` iterations.  The reported objective sequence is
     non-increasing: a candidate that does not improve on the incumbent is
     rejected (the incumbent is kept) and the momentum sequence restarts.
     Convergence is declared after ``_CONSECUTIVE_OK`` consecutive iterations
-    whose relative objective change falls below ``tol``.
+    whose relative objective change falls below ``tol``.  Given ``stop``, the
+    incumbent is also tested every ``_STOP_EVERY`` iterations, and the run
+    ends as soon as the test holds; the second flag returned says so.
     """
     x = project(x0)
     y = x.copy()
@@ -117,7 +126,7 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     streak = 0
     history = [f_x] if keep_history else None
     it = 0
-    converged = False
+    converged = stopped = False
     for it in range(1, budget + 1):
         f_y, g_y = value_grad(y)
         shrunk = False
@@ -152,8 +161,11 @@ def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
         if streak >= _CONSECUTIVE_OK:
             converged = True
             break
+        if stop is not None and it % _STOP_EVERY == 0 and stop(x):
+            stopped = True
+            break
     hist = np.array(history) if history is not None else None
-    return x, f_x, it, converged, hist
+    return x, f_x, it, converged, stopped, hist
 
 
 def _mat(x: np.ndarray, d: int) -> np.ndarray:
@@ -364,8 +376,10 @@ _CHUNK = 500
 _WARM_START = 100
 # residual-ball slack accepted by the ball-constrained programs
 _BALL_SLACK = 1e-9
-# cap on Newton steps along the Pareto curve; Fig-2 records take 4 to 7
+# cap on Newton steps along the Pareto curve; Fig-2 records take 5 to 17
 _NEWTON_STEPS = 100
+# an inexact capped solve stops once its dual gap is this fraction of phi - eps
+_GAP_FRACTION = 0.5
 # cap on the solves of MLE's multiplier search; Fig-2 records with an active ball take 11 to 18
 _MULTIPLIER_SOLVES = 60
 # MLE's multiplier search stops at this relative duality gap
@@ -377,6 +391,7 @@ _LOG_CLAMP = 1e-12
 def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
            keep_history: bool,
            polish: Callable[[np.ndarray], np.ndarray | None],
+           stop: Callable[[np.ndarray], bool] | None = None,
            ) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
     """Accelerated projected gradient interleaved with a polish.
 
@@ -387,6 +402,12 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     the program objective, so the reported objective sequence stays
     non-increasing and the result remains a solution of the convex program,
     never merely of the factored surrogate.
+
+    ``stop`` is an optional test of the iterate for callers that need the
+    program solved only until it holds.  It is checked every
+    ``_STOP_EVERY`` iterations and after each polish; once it holds the solve
+    returns at once, reported as converged, with no further iterations or
+    polish.
     """
     x = project(np.asarray(x0, dtype=float))
     f_x = value(x)
@@ -395,11 +416,15 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     history = [f_x] if keep_history else None
     while total < cfg.max_iterations:
         budget = min(_WARM_START if total == 0 else _CHUNK, cfg.max_iterations - total)
-        x, f_x, used, chunk_conv, hist = _fista(value_grad, value, project, x, step0,
-                                                budget, cfg.relative_tolerance, keep_history)
+        x, f_x, used, chunk_conv, stopped, hist = _fista(
+            value_grad, value, project, x, step0, budget, cfg.relative_tolerance,
+            keep_history, stop)
         total += used
         if history is not None and hist is not None:
             history.extend(hist[1:])
+        if stopped:
+            converged = True
+            break
         improved = False
         xp = polish(x)
         if xp is not None:
@@ -411,7 +436,7 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
                 x, f_x = xp, f_p
                 if history is not None:
                     history.append(f_x)
-        if chunk_conv and not improved:
+        if (chunk_conv and not improved) or (stop is not None and stop(x)):
             converged = True
             break
     hist_arr = np.array(history) if history is not None else None
@@ -480,17 +505,38 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
     """Trace minimization: minimize Tr(X) s.t. ||M[X] - f||_2 <= eps, X >= 0.
 
     Solves phi(tau) = eps on the Pareto curve phi(tau) = min ||M[X] - f||
-    over {X >= 0, Tr X <= tau}.  phi is convex and decreasing, with
-    phi'(tau) = -theta / phi where theta = lambda_max(-M^dagger[r]) and
-    r = M[X] - f at the capped optimum, so Newton steps from tau = 0 approach
-    eps from above.  Each phi(tau) is the least-squares program with a trace
-    cap, warm-started from the previous point; its polish runs on the face
-    Tr X = tau whenever the iterate meets the cap.  ``keep_history`` records
-    phi after each Newton step.
+    over {X >= 0, Tr X <= tau}.  phi is convex and decreasing.  Each phi(tau)
+    is the least-squares program with a trace cap, warm-started from the
+    previous point, whose polish runs on the face Tr X = tau whenever the
+    iterate meets the cap.
+
+    The capped programs are solved only as far as the Newton step needs.  At
+    an iterate X with r = M[X] - f, phi~ = ||r|| and
+    theta = lambda_max(-M^dagger[r]), weak duality with y = -r / phi~ gives
+    the dual line l(tau') = (-<r, f> - tau' max(theta, 0)) / phi~, a lower
+    bound on phi(tau') for every cap tau'.  A solve stops once phi~ is
+    within the ball slack of eps, or once theta > 0 and the gap at its own
+    cap is small against the distance to the radius,
+    l(tau) - eps >= ``_GAP_FRACTION`` (phi~ - eps) (van den Berg & Friedlander,
+    SIAM J. Sci. Comput. 31, 890 (2008), section 3).  The Newton step goes
+    to the root of the dual line, tau += (l(tau) - eps) phi~ / theta, not of
+    the tangent through phi~: as phi >= l, the new cap never passes the
+    optimal trace, so the caps rise to it from below and the returned X, in
+    the ball, has Tr X <= the last cap <= the optimal trace.  A solve whose
+    gap stays open runs to full tolerance.  There phi~ is phi(tau) to the
+    solve's accuracy, and the step is the exact Newton step from phi~, which
+    by the convexity of phi also stays below the optimal trace up to that
+    accuracy.  The gap is first order in the iterate's error where phi~ is
+    second order, so this happens near the root, where phi~ - eps is tiny.
+    ``keep_history`` records phi~ after each Newton step.
 
     Raises :class:`InfeasibleError` of kind ``"ls_residual_exceeds_radius"``
-    when the cap goes inactive while phi is still above the radius: the
-    least residual over X >= 0 then exceeds eps.
+    when no X >= 0 reaches the ball.  With theta <= 0 the dual line is flat,
+    and -<r, f> / phi~ bounds the least residual over all X >= 0 from below:
+    a solve stops as soon as that bound exceeds the radius, and the call
+    raises.  After a full-tolerance solve, theta <= 0 or an iterate below its
+    cap means the least residual is phi~, above the radius.  Below its cap,
+    an inexact iterate proves nothing and the Newton steps go on.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -501,33 +547,51 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
     # Re X_ii sits at 2 i (d + 1) in the real view of X
     diag = slice(None, None, 2 * (d + 1))
     step0 = 1.0 / _operator_norm_sq(povm.coefficient_matrix)
+    radius = eps + _BALL_SLACK
+
+    def pareto_point(x: np.ndarray, tau: float) -> tuple[float, float, float]:
+        """phi~, theta and the dual bound l(tau) at the iterate x of the cap tau."""
+        r = a @ x - fv
+        phi = _norm(r)
+        if phi <= radius:
+            return phi, 0.0, phi
+        theta = -float(np.linalg.eigh(_mat(a.T @ r, d))[0][0])
+        return phi, theta, (-float(r @ fv) - tau * max(theta, 0.0)) / phi
+
+    def gap_closed(phi: float, theta: float, lower: float) -> bool:
+        return theta > 0.0 and lower - eps >= _GAP_FRACTION * (phi - eps)
+
+    def settled(x: np.ndarray, tau: float) -> bool:
+        # in the ball, ready for a step from the dual line, or certified infeasible
+        phi, theta, lower = pareto_point(x, tau)
+        return phi <= radius or gap_closed(phi, theta, lower) or (theta <= 0.0 and lower > radius)
+
     x = np.zeros(2 * d * d)
-    r = -fv
-    phi = _norm(r)
     tau = 0.0
+    phi, theta, lower = pareto_point(x, tau)
     total = 0
     conv = True
     history = [phi] if keep_history else None
     for _ in range(_NEWTON_STEPS):
-        if phi <= eps + _BALL_SLACK:
+        if phi <= radius:
             break
-        theta = -float(np.linalg.eigh(_mat(a.T @ r, d))[0][0])
-        if theta <= 0.0 or float(x[diag].sum()) < tau * (1.0 - 1e-9):
+        closed = gap_closed(phi, theta, lower)
+        if theta <= 0.0 or (not closed and float(x[diag].sum()) < tau * (1.0 - 1e-9)):
             raise InfeasibleError(
                 f"least residual {phi:.6e} over X >= 0 exceeds the ball radius {eps:.6e}",
                 kind="ls_residual_exceeds_radius",
             )
-        tau += (phi - eps) * phi / theta
-        x, _, iters, conv, _ = _solve(value_grad, value, _project_psd(d, tau), x, step0,
-                                      cfg, False, functools.partial(polish, cap=tau))
+        tau += ((lower if closed else phi) - eps) * phi / theta
+        x, _, iters, conv, _ = _solve(
+            value_grad, value, _project_psd(d, tau), x, step0, cfg, False,
+            functools.partial(polish, cap=tau),
+            functools.partial(settled, tau=tau))
         total += iters
-        r = a @ x - fv
-        phi = _norm(r)
+        phi, theta, lower = pareto_point(x, tau)
         if history is not None:
             history.append(phi)
     hist = np.array(history) if history is not None else None
-    return _finish(x, d, float(x[diag].sum()), phi, total,
-                   conv and phi <= eps + _BALL_SLACK, hist)
+    return _finish(x, d, float(x[diag].sum()), phi, total, conv and phi <= radius, hist)
 
 
 def _likelihood(a: np.ndarray, fv: np.ndarray, mu: float):

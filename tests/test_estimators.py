@@ -27,6 +27,7 @@ from brqst import (
     random_rank_r_state,
     simulate_counts,
 )
+from brqst import estimators
 from brqst.experiments import _basis_frequencies, measurement_prefixes
 from brqst.linalg import hermitianize
 
@@ -172,7 +173,12 @@ def test_trace_min_noisy_constraint_active():
     assert report.converged
 
 
-@pytest.mark.parametrize("record", [_random_basis_record, _goyeneche_fig2_record])
+@pytest.mark.parametrize("record", [
+    _random_basis_record,
+    _goyeneche_fig2_record,
+    pytest.param(lambda: _fig2_sweep_record(777, 0, 9), id="sweep-777-state0-b9"),
+    pytest.param(lambda: _fig2_sweep_record(777, 1, 5), id="sweep-777-state1-b5"),
+])
 def test_trace_min_kkt_certificate(record):
     # at the optimum of min Tr X s.t. ||M[X] - f|| <= eps, X >= 0 with the ball
     # active, S = I + M^dagger[r] / theta is PSD and complementary to X, where
@@ -191,6 +197,43 @@ def test_trace_min_kkt_certificate(record):
     ls = estimate_ls(povm, f, TIGHT)
     if ls.residual_norm <= eps:
         assert tr_x <= np.trace(ls.raw.mat).real * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("record", [
+    _goyeneche_fig2_record,
+    pytest.param(lambda: _fig2_sweep_record(777, 0, 9), id="sweep-777-state0-b9"),
+])
+def test_trace_min_caps_rise_to_the_answer(record, monkeypatch):
+    # each Newton step projects onto {X >= 0, Tr X <= cap} with its own cap;
+    # steps taken from the dual lower bound never pass the optimal trace, so
+    # the caps rise and the last one is the trace of the answer
+    caps = []
+    project = estimators._project_psd
+
+    def recording(d, cap=None):
+        if cap is not None:
+            caps.append(cap)
+        return project(d, cap)
+
+    monkeypatch.setattr(estimators, "_project_psd", recording)
+    povm, f, eps = record()
+    report = estimate_trace_min(povm, f, eps, SWEEP_CFG)
+    tr_x = np.trace(report.raw.mat).real
+    assert report.converged and len(caps) > 1
+    assert (np.diff(caps) >= 0).all()
+    assert abs(caps[-1] - tr_x) <= 1e-8 * tr_x
+
+
+def test_trace_min_noiseless_goyeneche_reaches_slack():
+    # noiseless rank-1 d=8 record at eps = 1e-9: an inexact stop must not leave
+    # the last capped solve stalled between the radius and its slack
+    povm = bases_to_povm(build_goyeneche_bases(8, 1))
+    psi = random_pure_state(8, RandomStream(117))
+    f = apply_measurement_map(povm, HermitianMatrix(np.outer(psi, psi.conj())))
+    report = estimate_trace_min(povm, f, 1e-9, SWEEP_CFG)
+    assert report.converged
+    assert report.residual_norm <= 2e-9
+    assert 1.0 - fidelity_pure(psi, report.estimate) < 1e-6
 
 
 def test_trace_min_certified_infeasible():
