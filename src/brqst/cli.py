@@ -26,9 +26,8 @@ from . import __version__
 from .completion import check_proposition1, complete_rankr, default_plan, \
     extract_flammia, extract_goyeneche, falsify_strictness, measured_mask
 from .errors import BrqstError, DegenerateEstimateError, FailureSetError, InfeasibleError
-from .estimators import SolverConfig, default_epsilon, estimate_ls, estimate_mle, \
-    estimate_trace_min
-from .experiments import NoiseModel, robustness_rows, robustness_summary, \
+from .estimators import SolverConfig, estimate_ls, estimate_mle, estimate_trace_min
+from .experiments import NoiseModel, _union_radius, robustness_rows, robustness_summary, \
     run_robustness_sweep, run_strictness_sweep, strictness_rows, strictness_summary, \
     write_csv, write_json
 from .io import basis_set_to_dict, dump_json, load_artifact, load_json, povm_to_dict, \
@@ -104,18 +103,21 @@ def main(ctx, seed, tol, max_iter, threads):
     ctx.obj = {"seed": seed, "tol": tol, "max_iter": max_iter, "threads": threads}
 
 
+def _load_kind(path, kind: str, expected: str):
+    """The object in the artifact file ``path``, which must be of ``kind``."""
+    found, obj = load_artifact(path)
+    if found != kind:
+        raise ValueError(f"{path} holds {found!r}, expected {expected}")
+    return obj
+
+
 def _load_measurement(povm_path, bases_path):
     if (povm_path is None) == (bases_path is None):
         raise ValueError("provide exactly one of --povm or --bases")
     if povm_path is not None:
-        kind, obj = load_artifact(povm_path)
-        if kind != "povm":
-            raise ValueError(f"{povm_path} holds {kind!r}, expected a POVM")
-        return obj, None
-    kind, obj = load_artifact(bases_path)
-    if kind != "basis_set":
-        raise ValueError(f"{bases_path} holds {kind!r}, expected a basis set")
-    return bases_to_povm(obj), obj
+        return _load_kind(povm_path, "povm", "a POVM"), None
+    bs = _load_kind(bases_path, "basis_set", "a basis set")
+    return bases_to_povm(bs), bs
 
 
 @main.command()
@@ -198,9 +200,7 @@ def measure(obj, povm_path, bases_path, state_path, random_rank, shots, state_ou
     if (state_path is None) == (random_rank is None):
         raise ValueError("provide exactly one of --state or --random-rank")
     if state_path is not None:
-        kind, rho = load_artifact(state_path)
-        if kind != "state":
-            raise ValueError(f"{state_path} holds {kind!r}, expected a state")
+        rho = _load_kind(state_path, "state", "a state")
     else:
         rho = random_rank_r_state(povm.dim, random_rank, RandomStream(seed).derive(17))
         if state_out:
@@ -234,10 +234,7 @@ def measure(obj, povm_path, bases_path, state_path, random_rank, shots, state_ou
 def complete_cmd(obj, povm_path, bases_path, record_path, rank, out):
     """Algebraic completion: extract measured entries and fill the rest."""
     t0 = time.time()
-    kind, loaded = load_artifact(record_path)
-    if kind != "record":
-        raise ValueError(f"{record_path} holds {kind!r}, expected a record")
-    mv, _meta = loaded
+    mv, _meta = _load_kind(record_path, "record", "a record")
     povm, bs = _load_measurement(povm_path, bases_path)
     if bs is not None:
         if bs.provenance.get("construction") != "goyeneche":
@@ -269,21 +266,15 @@ def complete_cmd(obj, povm_path, bases_path, record_path, rank, out):
 def estimate(obj, povm_path, bases_path, record_path, method, eps, out):
     """Reconstruct a state from a record with one of the convex programs."""
     t0 = time.time()
-    kind, loaded = load_artifact(record_path)
-    if kind != "record":
-        raise ValueError(f"{record_path} holds {kind!r}, expected a record")
-    mv, meta = loaded
+    mv, meta = _load_kind(record_path, "record", "a record")
     povm, _bs = _load_measurement(povm_path, bases_path)
     cfg = SolverConfig(max_iterations=obj["max_iter"])
     if method != "ls" and eps is None:
-        n_bases, shots = meta.get("n_bases"), meta.get("shots_per_basis")
-        if mv.kind == "ideal_probabilities" or not shots:
-            eps = 1e-9
-        elif n_bases:
-            # records store per-basis frequencies divided by the basis count
-            eps = default_epsilon(n_bases, povm.dim, shots) / n_bases
-        else:
+        n_bases = meta.get("n_bases")
+        shots = None if mv.kind == "ideal_probabilities" else meta.get("shots_per_basis")
+        if shots and not n_bases:
             raise ValueError("record metadata lacks basis count; pass --eps")
+        eps = _union_radius(n_bases, povm.dim, shots)
     if method == "ls":
         report = estimate_ls(povm, mv, cfg)
     elif method == "trace":

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateEstimateError, InfeasibleError
-from .linalg import HermitianMatrix, hermitianize, project_simplex
+from .linalg import HermitianMatrix, _mat, _project_density, _project_psd, _vec, hermitianize
 from .povm import MeasurementVector, Povm
 
 
@@ -98,86 +98,6 @@ def _operator_norm_sq(s: np.ndarray, iters: int = 40) -> float:
     return float(lam) * 1.05
 
 
-def _fista(value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-           value: Callable[[np.ndarray], float],
-           project: Callable[[np.ndarray], np.ndarray],
-           x0: np.ndarray,
-           step0: float,
-           budget: int,
-           tol: float,
-           keep_history: bool = False,
-           stop: Callable[[np.ndarray], bool] | None = None,
-           ) -> tuple[np.ndarray, float, int, bool, bool, np.ndarray | None]:
-    """Monotone FISTA with backtracking line search and gradient restart.
-
-    Runs at most ``budget`` iterations.  The reported objective sequence is
-    non-increasing: a candidate that does not improve on the incumbent is
-    rejected (the incumbent is kept) and the momentum sequence restarts.
-    Convergence is declared after ``_CONSECUTIVE_OK`` consecutive iterations
-    whose relative objective change falls below ``tol``.  Given ``stop``, the
-    incumbent is also tested every ``_STOP_EVERY`` iterations, and the run
-    ends as soon as the test holds; the second flag returned says so.
-    """
-    x = project(x0)
-    y = x.copy()
-    theta = 1.0
-    f_x = value(x)
-    t = step0
-    streak = 0
-    history = [f_x] if keep_history else None
-    it = 0
-    converged = stopped = False
-    for it in range(1, budget + 1):
-        f_y, g_y = value_grad(y)
-        shrunk = False
-        while True:
-            z = project(y - t * g_y)
-            dz = z - y
-            f_z = value(z)
-            bound = f_y + g_y @ dz + (dz @ dz) / (2 * t) + 1e-18 * max(1.0, abs(f_y))
-            if f_z <= bound or t < 1e-20:
-                break
-            t *= _SHRINK
-            shrunk = True
-        if not shrunk:
-            t *= _GROWTH
-        accepted = f_z <= f_x
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        if accepted:
-            x_next, f_next = z, f_z
-            y = z + ((theta - 1.0) / theta_next) * (z - x)
-            if (y - z) @ (z - x) > 0:
-                y = z.copy()
-                theta_next = 1.0
-        else:
-            x_next, f_next = x, f_x
-            y = x.copy()
-            theta_next = 1.0
-        rel = abs(f_x - f_next) / max(abs(f_x), abs(f_next), 1e-300)
-        streak = streak + 1 if rel < tol else 0
-        x, f_x, theta = x_next, f_next, theta_next
-        if history is not None:
-            history.append(f_x)
-        if streak >= _CONSECUTIVE_OK:
-            converged = True
-            break
-        if stop is not None and it % _STOP_EVERY == 0 and stop(x):
-            stopped = True
-            break
-    hist = np.array(history) if history is not None else None
-    return x, f_x, it, converged, stopped, hist
-
-
-def _mat(x: np.ndarray, d: int) -> np.ndarray:
-    """The d x d complex matrix whose real view is ``x`` (no copy)."""
-    return x.view(np.complex128).reshape(d, d)
-
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    """Real view of a complex matrix, length 2 d^2 (no copy when C-contiguous)."""
-    return m.reshape(-1).view(np.float64)
-
-
 def _measurement_map(povm: Povm) -> np.ndarray:
     """Real (m, 2 d^2) matrix A with A @ _vec(X) = [Tr(E_mu X)] for Hermitian X."""
     return povm.stack.reshape(len(povm), -1).view(np.float64)
@@ -206,31 +126,6 @@ def _factor_jacobian(stack: np.ndarray, v: np.ndarray, p: np.ndarray,
 
 def _norm(r: np.ndarray) -> float:
     return math.sqrt(float(r @ r))
-
-
-def _project_psd(d: int, cap: float | None = None):
-    """Projection onto {X >= 0}, or onto {X >= 0, Tr X <= cap} given a cap.
-
-    The eigenvalues are clipped at zero; under a cap, if their sum still
-    exceeds it they are projected onto the simplex of total ``cap`` instead.
-    The uncapped projection skips the rebuild of a PSD input; LS runs it
-    hundreds of times a call, so it carries no trace test.
-    """
-    def proj(x: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(_mat(x, d))
-        if w[0] >= 0.0:
-            return x
-        w = np.maximum(w, 0.0)
-        return _vec((v * w) @ v.conj().T)
-
-    def proj_capped(x: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(_mat(x, d))
-        w = np.maximum(w, 0.0)
-        if w.sum() > cap:
-            w = project_simplex(w, cap)
-        return _vec((v * w) @ v.conj().T)
-
-    return proj if cap is None else proj_capped
 
 
 def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
@@ -297,15 +192,6 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
         if obj < 1e-28:
             break
     return _vec(matrix(v))
-
-
-def _project_density(d: int):
-    def proj(x: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(_mat(x, d))
-        w = project_simplex(w)
-        return _vec((v * w) @ v.conj().T)
-
-    return proj
 
 
 def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
@@ -393,37 +279,79 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
            polish: Callable[[np.ndarray], np.ndarray | None],
            stop: Callable[[np.ndarray], bool] | None = None,
            ) -> tuple[np.ndarray, float, int, bool, np.ndarray | None]:
-    """Accelerated projected gradient interleaved with a polish.
+    """Monotone FISTA with backtracking and gradient restart, interleaved with a polish.
 
-    After every chunk of iterations ``polish`` maps the iterate to a
-    candidate, or to None.  The first chunk is a short warm start of
-    ``_WARM_START`` iterations, the later ones ``_CHUNK`` long.  A candidate
-    is projected back onto the feasible set and adopted only when it lowers
-    the program objective, so the reported objective sequence stays
+    Runs at most ``cfg.max_iterations`` iterations in chunks: a short warm
+    start of ``_WARM_START`` iterations, then chunks ``_CHUNK`` long.  Each
+    chunk restarts the momentum, the step size ``step0`` and the convergence
+    streak from the incumbent, projected again.  Within a chunk the objective
+    sequence is non-increasing: a candidate that does not improve on the
+    incumbent is rejected (the incumbent is kept) and the momentum restarts.
+    A chunk converges after ``_CONSECUTIVE_OK`` consecutive iterations whose
+    relative objective change falls below ``cfg.relative_tolerance``.
+
+    After every chunk ``polish`` maps the iterate to a candidate, or to None.
+    A candidate is projected back onto the feasible set and adopted only when
+    it lowers the program objective, so the reported objective sequence stays
     non-increasing and the result remains a solution of the convex program,
-    never merely of the factored surrogate.
+    never merely of the factored surrogate.  The solve has converged once a
+    chunk converges and the polish does not halve the objective.
+    ``keep_history`` records the starting objective, the incumbent's after
+    every iteration and each adopted polish.
 
     ``stop`` is an optional test of the iterate for callers that need the
     program solved only until it holds.  It is checked every
-    ``_STOP_EVERY`` iterations and after each polish; once it holds the solve
-    returns at once, reported as converged, with no further iterations or
-    polish.
+    ``_STOP_EVERY`` iterations of a chunk and after each polish; once it
+    holds the solve returns at once, reported as converged, with no further
+    iterations or polish.
     """
     x = project(np.asarray(x0, dtype=float))
-    f_x = value(x)
+    history = [value(x)] if keep_history else None
     total = 0
     converged = False
-    history = [f_x] if keep_history else None
-    while total < cfg.max_iterations:
+    while not converged and total < cfg.max_iterations:
         budget = min(_WARM_START if total == 0 else _CHUNK, cfg.max_iterations - total)
-        x, f_x, used, chunk_conv, stopped, hist = _fista(
-            value_grad, value, project, x, step0, budget, cfg.relative_tolerance,
-            keep_history, stop)
-        total += used
-        if history is not None and hist is not None:
-            history.extend(hist[1:])
-        if stopped:
-            converged = True
+        x = project(x)
+        f_x = value(x)
+        y = x.copy()
+        theta, t, streak = 1.0, step0, 0
+        for it in range(1, budget + 1):
+            f_y, g_y = value_grad(y)
+            shrunk = False
+            while True:
+                z = project(y - t * g_y)
+                dz = z - y
+                f_z = value(z)
+                bound = f_y + g_y @ dz + (dz @ dz) / (2 * t) + 1e-18 * max(1.0, abs(f_y))
+                if f_z <= bound or t < 1e-20:
+                    break
+                t *= _SHRINK
+                shrunk = True
+            if not shrunk:
+                t *= _GROWTH
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            if f_z <= f_x:
+                x_next, f_next = z, f_z
+                y = z + ((theta - 1.0) / theta_next) * (z - x)
+                if (y - z) @ (z - x) > 0:
+                    y = z.copy()
+                    theta_next = 1.0
+            else:
+                x_next, f_next = x, f_x
+                y = x.copy()
+                theta_next = 1.0
+            rel = abs(f_x - f_next) / max(abs(f_x), abs(f_next), 1e-300)
+            streak = streak + 1 if rel < cfg.relative_tolerance else 0
+            x, f_x, theta = x_next, f_next, theta_next
+            if history is not None:
+                history.append(f_x)
+            if streak >= _CONSECUTIVE_OK:
+                break
+            if stop is not None and it % _STOP_EVERY == 0 and stop(x):
+                converged = True
+                break
+        total += it
+        if converged:
             break
         improved = False
         xp = polish(x)
@@ -436,11 +364,10 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
                 x, f_x = xp, f_p
                 if history is not None:
                     history.append(f_x)
-        if (chunk_conv and not improved) or (stop is not None and stop(x)):
-            converged = True
-            break
-    hist_arr = np.array(history) if history is not None else None
-    return x, f_x, total, converged, hist_arr
+        converged = ((streak >= _CONSECUTIVE_OK and not improved)
+                     or (stop is not None and stop(x)))
+    hist = np.array(history) if history is not None else None
+    return x, f_x, total, converged, hist
 
 
 def _check_lengths(povm: Povm, f: MeasurementVector):
@@ -451,16 +378,15 @@ def _check_lengths(povm: Povm, f: MeasurementVector):
 
 
 def _finish(x: np.ndarray, d: int, objective: float, residual: float,
-            iterations: int, converged: bool, history,
-            normalize: bool = True) -> EstimateReport:
+            iterations: int, converged: bool, history) -> EstimateReport:
     raw = HermitianMatrix(hermitianize(_mat(x, d)))
     tr = float(np.trace(raw.mat).real)
     if tr <= 1e-12:
         raise DegenerateEstimateError(
             f"optimizer returned a matrix with trace {tr:.3e}; no state can be formed"
         )
-    estimate = HermitianMatrix(raw.mat / tr) if normalize else raw
-    return EstimateReport(estimate, raw, objective, residual, iterations, converged, history)
+    return EstimateReport(HermitianMatrix(raw.mat / tr), raw, objective, residual, iterations,
+                          converged, history)
 
 
 def _data_fit(povm: Povm, fv: np.ndarray):
@@ -549,14 +475,27 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
     step0 = 1.0 / _operator_norm_sq(povm.coefficient_matrix)
     radius = eps + _BALL_SLACK
 
+    last = None, None, None
+
     def pareto_point(x: np.ndarray, tau: float) -> tuple[float, float, float]:
-        """phi~, theta and the dual bound l(tau) at the iterate x of the cap tau."""
+        """phi~, theta and the dual bound l(tau) at the iterate x of the cap tau.
+
+        The last evaluation is kept, so the Newton loop reads the one the stop
+        test made on the iterate a solve returns; iterates are never modified
+        in place, so the iterate's identity and the cap identify it.
+        """
+        nonlocal last
+        if last[0] is x and last[1] == tau:
+            return last[2]
         r = a @ x - fv
         phi = _norm(r)
         if phi <= radius:
-            return phi, 0.0, phi
-        theta = -float(np.linalg.eigh(_mat(a.T @ r, d))[0][0])
-        return phi, theta, (-float(r @ fv) - tau * max(theta, 0.0)) / phi
+            point = phi, 0.0, phi
+        else:
+            theta = -float(np.linalg.eigh(_mat(a.T @ r, d))[0][0])
+            point = phi, theta, (-float(r @ fv) - tau * max(theta, 0.0)) / phi
+        last = x, tau, point
+        return point
 
     def gap_closed(phi: float, theta: float, lower: float) -> bool:
         return theta > 0.0 and lower - eps >= _GAP_FRACTION * (phi - eps)

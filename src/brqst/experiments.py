@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import BrqstError
 from .estimators import SolverConfig, default_epsilon, estimate_ls, estimate_mle, \
     estimate_trace_min
+from .io import dump_json as write_json
 from .linalg import HermitianMatrix, fidelity_pure, hermitianize, infidelity, \
     random_mixed_hs, random_pure_state, random_rank_r_state
 from .povm import BasisSet, MeasurementVector, Povm, bases_to_povm, \
@@ -239,7 +239,7 @@ def _pool(threads: int):
 # ---------------------------------------------------------------------------
 
 def _strictness_task(args) -> tuple[int, float]:
-    (family, d, r, b, stream, max_iterations, relative_tolerance) = args
+    family, d, r, b, stream, cfg = args
     state_stream = stream.derive(0)
     rho = random_rank_r_state(d, r, state_stream)
     povm = measurement_for(family, d, b, stream.derive(1))
@@ -247,8 +247,6 @@ def _strictness_task(args) -> tuple[int, float]:
         np.maximum(np.einsum("mij,ji->m", povm.stack, rho.mat).real, 0.0),
         kind="ideal_probabilities",
     )
-    cfg = SolverConfig(max_iterations=max_iterations,
-                       relative_tolerance=relative_tolerance)
     report = estimate_ls(povm, probs, cfg)
     return stream.stream_id, infidelity(rho, report.estimate)
 
@@ -283,8 +281,7 @@ def run_strictness_sweep(dims: list[int], ranks: list[int], family: str,
                 scanned: list[int] = []
                 minimal = None
                 for b in range(1, max_bases + 1):
-                    tasks = [(family, d, r, b, st, cfg.max_iterations,
-                              cfg.relative_tolerance) for st in streams]
+                    tasks = [(family, d, r, b, st, cfg) for st in streams]
                     if pool is not None:
                         out = list(pool.map(_strictness_task, tasks))
                     else:
@@ -311,15 +308,22 @@ def run_strictness_sweep(dims: list[int], ranks: list[int], family: str,
 ESTIMATORS = ("ls", "trace", "mle")
 
 
+def _union_radius(b: int, d: int, n_shots: int | None) -> float:
+    """Residual-ball radius of a union-POVM record of b bases, n_shots per basis.
+
+    The heuristic radius is the multinomial noise norm for per-basis blocks
+    summing to one; union-POVM records carry a 1/b weight.  Ideal
+    probabilities (no shots) get the radius 1e-9.
+    """
+    return default_epsilon(b, d, n_shots) / b if n_shots else 1e-9
+
+
 def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
-    (family, d, basis_counts, q, n_shots, stream,
-     max_iterations, relative_tolerance) = args
+    family, d, basis_counts, q, n_shots, stream, cfg = args
     gen_state = stream.derive(0)
     psi = random_pure_state(d, gen_state)
     tau = random_mixed_hs(d, stream.derive(1))
     sigma = hermitianize((1.0 - q) * np.outer(psi, psi.conj()) + q * tau.mat)
-    cfg = SolverConfig(max_iterations=max_iterations,
-                       relative_tolerance=relative_tolerance)
     povms = measurement_prefixes(family, d, basis_counts, stream.derive(2))
     per_group_freq = _basis_frequencies(povms[max(basis_counts)], sigma, n_shots,
                                         stream.derive(3).generator())
@@ -330,12 +334,9 @@ def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
         if n_shots > 0:
             f = MeasurementVector(freqs, kind="empirical_frequencies",
                                   total_shots=b * n_shots)
-            # the heuristic radius is the multinomial noise norm for per-basis
-            # blocks summing to one; our union-POVM records carry a 1/b weight
-            eps = default_epsilon(b, d, n_shots) / b
         else:
             f = MeasurementVector(freqs, kind="ideal_probabilities")
-            eps = 1e-9
+        eps = _union_radius(b, d, n_shots)
         runs = {
             "ls": lambda: estimate_ls(povm, f, cfg),
             "trace": lambda: estimate_trace_min(povm, f, eps, cfg),
@@ -373,8 +374,7 @@ def run_robustness_sweep(dims: list[int], family: str, n_states: int,
         for d in dims:
             n_shots = noise.shots(d)
             streams = [rng.derive(d, s) for s in range(n_states)]
-            tasks = [(family, d, basis_counts, noise.q, n_shots, st,
-                      cfg.max_iterations, cfg.relative_tolerance) for st in streams]
+            tasks = [(family, d, basis_counts, noise.q, n_shots, st, cfg) for st in streams]
             if pool is not None:
                 out = list(pool.map(_robustness_task, tasks))
             else:
@@ -475,8 +475,3 @@ def robustness_summary(results: list[RobustnessResult]) -> dict:
         ],
     }
 
-
-def write_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -130,13 +130,47 @@ def schur_complement(m, r: int, tol: float = DEFAULT_ZERO_TOL) -> HermitianMatri
     return HermitianMatrix(hermitianize(comp))
 
 
+def _mat(x: np.ndarray, d: int) -> np.ndarray:
+    """The d x d complex matrix whose real view is ``x`` (no copy)."""
+    return x.view(np.complex128).reshape(d, d)
+
+
+def _vec(m: np.ndarray) -> np.ndarray:
+    """Real view of a complex matrix, length 2 d^2 (no copy when C-contiguous)."""
+    return m.reshape(-1).view(np.float64)
+
+
+def _project_psd(d: int, cap: float | None = None):
+    """Projection onto {X >= 0}, or onto {X >= 0, Tr X <= cap} given a cap.
+
+    Acts on real views (see :func:`_vec`).  The eigenvalues are clipped at
+    zero; under a cap, if their sum still exceeds it they are projected onto
+    the simplex of total ``cap`` instead.  The uncapped projection skips the
+    rebuild of a PSD input; least squares runs it hundreds of times a call,
+    so it carries no trace test.
+    """
+    def proj(x: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(_mat(x, d))
+        if w[0] >= 0.0:
+            return x
+        w = np.maximum(w, 0.0)
+        return _vec((v * w) @ v.conj().T)
+
+    def proj_capped(x: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(_mat(x, d))
+        w = np.maximum(w, 0.0)
+        if w.sum() > cap:
+            w = project_simplex(w, cap)
+        return _vec((v * w) @ v.conj().T)
+
+    return proj if cap is None else proj_capped
+
+
 def project_psd(h) -> HermitianMatrix:
     """Nearest (Frobenius) positive semidefinite matrix: clip eigenvalues at 0."""
-    w, v = eig_hermitian(h)
-    if w[0] >= 0:
-        return h if isinstance(h, HermitianMatrix) else HermitianMatrix(np.asarray(h))
-    w = np.maximum(w, 0.0)
-    return HermitianMatrix(hermitianize((v * w) @ v.conj().T))
+    m = as_hermitian_array(h)
+    d = m.shape[0]
+    return HermitianMatrix(hermitianize(_mat(_project_psd(d)(_vec(m)), d)))
 
 
 def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
@@ -150,11 +184,21 @@ def project_simplex(w: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
+def _project_density(d: int):
+    """Projection of real views onto the density matrices {X >= 0, Tr X = 1}."""
+    def proj(x: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(_mat(x, d))
+        w = project_simplex(w)
+        return _vec((v * w) @ v.conj().T)
+
+    return proj
+
+
 def project_density(h) -> HermitianMatrix:
     """Nearest (Frobenius) trace-one PSD matrix via eigenvalue simplex projection."""
-    w, v = eig_hermitian(h)
-    w = project_simplex(w)
-    return HermitianMatrix(hermitianize((v * w) @ v.conj().T))
+    m = as_hermitian_array(h)
+    d = m.shape[0]
+    return HermitianMatrix(hermitianize(_mat(_project_density(d)(_vec(m)), d)))
 
 
 def fidelity_pure(psi: np.ndarray, rho) -> float:

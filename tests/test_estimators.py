@@ -224,6 +224,25 @@ def test_trace_min_caps_rise_to_the_answer(record, monkeypatch):
     assert abs(caps[-1] - tr_x) <= 1e-8 * tr_x
 
 
+@pytest.mark.parametrize("seed,state,b", [(777, 0, 5), (777, 1, 9)])
+def test_trace_min_decomposes_each_matrix_once(seed, state, b, monkeypatch):
+    # the stop test that ends a capped solve and the Newton step after it
+    # read the same Pareto point; it must be evaluated only once
+    eigh = np.linalg.eigh
+    inputs = []
+
+    def recording(m, *args, **kwargs):
+        if np.any(m):
+            inputs.append(np.ascontiguousarray(m).tobytes())
+        return eigh(m, *args, **kwargs)
+
+    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    estimate_trace_min(povm, f, eps, SWEEP_CFG)
+    repeats = len(inputs) - len(set(inputs))
+    assert inputs and repeats == 0, f"{repeats} matrices decomposed more than once"
+
+
 def test_trace_min_noiseless_goyeneche_reaches_slack():
     # noiseless rank-1 d=8 record at eps = 1e-9: an inexact stop must not leave
     # the last capped solve stalled between the radius and its slack
