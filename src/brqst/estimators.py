@@ -18,11 +18,13 @@ the ball's Lagrange multiplier until the Lagrangian duality gap closes.
 Every solve polishes the iterate on a low-rank factor X = V V^dagger: first
 after a short warm start of 100 accelerated iterations, then after every
 500.  Least squares and each point of the Pareto curve polish by
-Levenberg-Marquardt, which on noiseless records reaches round-off at the
-first polish.  When the iterate sits on its trace cap the polish runs on the
-face Tr X = tau, on X = tau V V^dagger / ||V||_F^2, so its candidate stays
-feasible and can be adopted.  Maximum likelihood polishes by damped Fisher
-scoring on the trace-normalized factor.
+Levenberg-Marquardt on a factor that sheds its spare columns as their weight
+dies, so on a noiseless record that fixes the state the first polish
+typically ends on the state's rank at round-off; on noisy records it stops
+where the fit stalls.  When the iterate sits on its trace cap the polish
+runs on the face Tr X = tau, on X = tau V V^dagger / ||V||_F^2, so its
+candidate stays feasible and can be adopted.  Maximum likelihood polishes by
+damped Fisher scoring on the trace-normalized factor.
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -128,6 +130,17 @@ def _norm(r: np.ndarray) -> float:
     return math.sqrt(float(r @ r))
 
 
+# an objective below this is zero to machine precision: the LM polish and the
+# solve both stop there
+_ROUND_OFF = 1e-28
+# floor of the LM damping
+_LM_MU_FLOOR = 1e-12
+# the LM polish stops once an accepted step lowers 0.5 ||r||^2 by less than this relative amount
+_LM_STALL = 1e-11
+# factor columns whose Gram eigenvalue is below this fraction of the largest are dropped
+_LM_TRIM = 1e-10
+
+
 def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
                         x: np.ndarray, iters: int = 150,
                         cap: float | None = None) -> np.ndarray | None:
@@ -142,8 +155,18 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
     meets, the fit runs on the face Tr X = cap instead, on
     X = cap V V^dagger / ||V||_F^2 (Burer & Monteiro, Math. Program. 95, 329
     (2003)), so the refined matrix stays inside {X >= 0, Tr X <= cap}.
-    Returns the real view of the refined matrix, or None when the iterate
-    is essentially zero.
+
+    The factor starts one column above the iterate's numerical rank.  Once
+    its spare columns shrink, an over-parameterized factor converges slowly
+    (Zhuo, Kwon, Ho & Caramanis, arXiv:2102.02756), so after an accepted step
+    that leaves the damping at its floor the Gram V^dagger V is decomposed
+    and its directions below ``_LM_TRIM`` of the largest eigenvalue are
+    dropped.  The polish stops at round-off, after ``iters`` iterations,
+    when no damping lowers the fit, or at a stationary point: an accepted
+    step that lowers 0.5 ||r||^2 by less than ``_LM_STALL`` relative
+    although a smaller damping had just been rejected.  It returns the real
+    view of the best matrix it visited (a trim can raise the fit slightly),
+    or None when the iterate is essentially zero.
     """
     d = stack.shape[1]
     w, vecs = np.linalg.eigh(_mat(x, d))
@@ -165,6 +188,7 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
 
     r = residual(v)
     obj = 0.5 * float(r @ r)
+    best_v, best_obj = v, obj
     mu = 1e-3
     eye = np.eye(2 * v.size)
     for _ in range(iters):
@@ -172,7 +196,7 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
         g = j.T @ r
         a_lm = j.T @ j
         accepted = False
-        for _ in range(30):
+        for attempt in range(30):
             try:
                 delta = np.linalg.solve(a_lm + mu * eye, -g)
             except np.linalg.LinAlgError:
@@ -183,15 +207,30 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
             obj_new = 0.5 * float(r_new @ r_new)
             if obj_new < obj:
                 accepted = True
-                mu = max(mu * 0.3, 1e-12)
+                mu = max(mu * 0.3, _LM_MU_FLOOR)
                 break
             mu *= 4.0
         if not accepted:
             break
+        # a stationary point, unless the step was merely overdamped: a tiny
+        # decrease counts only when a smaller damping had just been rejected
+        stalled = obj - obj_new < _LM_STALL * obj and attempt > 0
         v, r, obj = v_new, r_new, obj_new
-        if obj < 1e-28:
+        if obj < best_obj:
+            best_v, best_obj = v, obj
+        if stalled or obj < _ROUND_OFF:
             break
-    return _vec(matrix(v))
+        if mu <= _LM_MU_FLOOR and v.shape[1] > 1:
+            # curvature below the damping floor may be a dying column: drop
+            # the Gram directions that carry no weight
+            gw, gu = np.linalg.eigh(v.conj().T @ v)
+            keep = gw > _LM_TRIM * gw[-1]
+            if not keep.all():
+                v = v @ gu[:, keep]
+                r = residual(v)
+                obj = 0.5 * float(r @ r)
+                eye = np.eye(2 * v.size)
+    return _vec(matrix(best_v))
 
 
 def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
@@ -284,9 +323,10 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     Runs at most ``cfg.max_iterations`` iterations in chunks: a short warm
     start of ``_WARM_START`` iterations, then chunks ``_CHUNK`` long.  Each
     chunk restarts the momentum, the step size ``step0`` and the convergence
-    streak from the incumbent, projected again.  Within a chunk the objective
-    sequence is non-increasing: a candidate that does not improve on the
-    incumbent is rejected (the incumbent is kept) and the momentum restarts.
+    streak from the incumbent, projected (the first chunk projects ``x0``,
+    once).  Within a chunk the objective sequence is non-increasing: a
+    candidate that does not improve on the incumbent is rejected (the
+    incumbent is kept) and the momentum restarts.
     A chunk converges after ``_CONSECUTIVE_OK`` consecutive iterations whose
     relative objective change falls below ``cfg.relative_tolerance``.
 
@@ -295,7 +335,10 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     it lowers the program objective, so the reported objective sequence stays
     non-increasing and the result remains a solution of the convex program,
     never merely of the factored surrogate.  The solve has converged once a
-    chunk converges and the polish does not halve the objective.
+    chunk converges and the polish does not halve the objective, or once
+    the objective falls below ``_ROUND_OFF``: a data fit that small is
+    exact to machine precision, and another chunk and polish would choose
+    between exact fits on round-off alone.
     ``keep_history`` records the starting objective, the incumbent's after
     every iteration and each adopted polish.
 
@@ -305,14 +348,16 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     holds the solve returns at once, reported as converged, with no further
     iterations or polish.
     """
-    x = project(np.asarray(x0, dtype=float))
-    history = [value(x)] if keep_history else None
+    x = np.asarray(x0, dtype=float)
+    history = [] if keep_history else None
     total = 0
     converged = False
     while not converged and total < cfg.max_iterations:
         budget = min(_WARM_START if total == 0 else _CHUNK, cfg.max_iterations - total)
         x = project(x)
         f_x = value(x)
+        if history is not None and total == 0:
+            history.append(f_x)
         y = x.copy()
         theta, t, streak = 1.0, step0, 0
         for it in range(1, budget + 1):
@@ -364,7 +409,7 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
                 x, f_x = xp, f_p
                 if history is not None:
                     history.append(f_x)
-        converged = ((streak >= _CONSECUTIVE_OK and not improved)
+        converged = ((streak >= _CONSECUTIVE_OK and not improved) or f_x < _ROUND_OFF
                      or (stop is not None and stop(x)))
     hist = np.array(history) if history is not None else None
     return x, f_x, total, converged, hist

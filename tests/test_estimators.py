@@ -110,7 +110,7 @@ def test_ls_monotone_objective():
 
 def test_ls_table1_record_polishes_early():
     # a noiseless Table-1 record (d=11, rank 2, 7 Haar bases): the polish after
-    # the short FISTA warm start reaches round-off, so the solve takes 132
+    # the short FISTA warm start reaches round-off, so the solve takes 100
     # iterations; with the polish only after 500-iteration chunks it took 533
     rho = random_rank_r_state(11, 2, RandomStream(116))
     povm = bases_to_povm(build_random_bases(11, 7, RandomStream(216)))
@@ -118,6 +118,78 @@ def test_ls_table1_record_polishes_early():
     assert infidelity(rho, report.estimate) < 1e-5
     assert report.converged
     assert report.iterations <= 264
+
+
+def test_ls_stops_at_round_off_fit():
+    # the same record: the first polish fits the data to round-off, and the
+    # solve ends there; another chunk and polish would only choose between
+    # exact fits on round-off (without this stop: 32 more iterations and a
+    # second polish)
+    rho = random_rank_r_state(11, 2, RandomStream(116))
+    povm = bases_to_povm(build_random_bases(11, 7, RandomStream(216)))
+    report = estimate_ls(povm, apply_measurement_map(povm, rho), TIGHT)
+    assert report.converged
+    assert report.iterations == estimators._WARM_START
+    assert 0.5 * report.residual_norm ** 2 < estimators._ROUND_OFF
+
+
+def _first_polish_input(monkeypatch, run):
+    # the arguments of the first LM polish of run(): the iterate after the warm start
+    inputs = []
+    polish = estimators._lm_residual_polish
+
+    def recording(stack, a, fv, x, *args, **kwargs):
+        inputs.append((stack, a, fv, x.copy()))
+        return polish(stack, a, fv, x, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_lm_residual_polish", recording)
+    run()
+    monkeypatch.undo()
+    return inputs[0]
+
+
+def test_ls_polish_trims_spare_columns(monkeypatch):
+    # the record above: the warm start has six eigenvalues above 1e-3 of the
+    # largest, so the factor starts at rank 7.  The polish drops the spare
+    # columns as they die and ends on the target's rank 2 at round-off; without
+    # the trim it ran all 150 iterations at rank 7 (168 solves) to 3e-13
+    rho = random_rank_r_state(11, 2, RandomStream(116))
+    povm = bases_to_povm(build_random_bases(11, 7, RandomStream(216)))
+    f = apply_measurement_map(povm, rho)
+    stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, TIGHT))
+    solve = np.linalg.solve
+    sizes = []
+
+    def recording(m, rhs):
+        sizes.append(len(rhs))
+        return solve(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    out = estimators._lm_residual_polish(stack, a, fv, x)
+    # each solve is the LM system of the real view of the d x r factor
+    assert sizes[0] == 2 * 11 * 7 and sizes[-1] == 2 * 11 * 2
+    assert np.linalg.norm(a @ out - fv) <= 1e-12
+    assert len(sizes) <= 120
+
+
+def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
+    # a noisy Fig-2 record: the fit stalls at the noise floor, and the polish
+    # stops there instead of running to its 150-iteration cap (114 iterations
+    # here), returning a point no worse than the iterate it was given
+    povm, f, _ = _fig2_sweep_record(777, 1, 5)
+    stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
+    jacobian = estimators._factor_jacobian
+    steps = []
+
+    def recording(*args, **kwargs):
+        steps.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_factor_jacobian", recording)
+    out = estimators._lm_residual_polish(stack, a, fv, x)
+    r0, r1 = a @ x - fv, a @ out - fv
+    assert len(steps) < 150
+    assert r1 @ r1 <= r0 @ r0
 
 
 def test_ls_length_mismatch():
@@ -241,6 +313,24 @@ def test_trace_min_decomposes_each_matrix_once(seed, state, b, monkeypatch):
     estimate_trace_min(povm, f, eps, SWEEP_CFG)
     repeats = len(inputs) - len(set(inputs))
     assert inputs and repeats == 0, f"{repeats} matrices decomposed more than once"
+
+
+@pytest.mark.parametrize("seed,state,b", [(777, 0, 5), (777, 1, 9)])
+def test_mle_decomposes_start_matrix_once(seed, state, b, monkeypatch):
+    # the plain solve starts from I / d, which the density projection returns
+    # unchanged; the start is projected once, not again at the first chunk
+    eigh = np.linalg.eigh
+    start = np.eye(8, dtype=np.complex128) / 8
+    hits = []
+
+    def recording(m, *args, **kwargs):
+        hits.append(np.array_equal(m, start))
+        return eigh(m, *args, **kwargs)
+
+    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    estimate_mle(povm, f, eps, SWEEP_CFG)
+    assert sum(hits) == 1
 
 
 def test_trace_min_noiseless_goyeneche_reaches_slack():
