@@ -23,8 +23,20 @@ dies, so on a noiseless record that fixes the state the first polish
 typically ends on the state's rank at round-off; on noisy records it stops
 where the fit stalls.  When the iterate sits on its trace cap the polish
 runs on the face Tr X = tau, on X = tau V V^dagger / ||V||_F^2, so its
-candidate stays feasible and can be adopted.  Maximum likelihood polishes by
-damped Fisher scoring on the trace-normalized factor.
+candidate stays feasible and can be adopted.  Maximum likelihood polishes
+on the trace-normalized factor.
+
+The polishes of the two ball programs, the capped Levenberg-Marquardt polish
+and the likelihood polish, take damped steps on the exact Hessian: the
+Gauss-Newton or Fisher matrix plus sum_mu w_mu Hess p_mu(V), with w the
+objective's gradient in p (:func:`_factor_curvature`).  At their optima w is
+never zero (the residual is at least eps on the trace face, and -f/p does
+not vanish), so without that term the polishes converge only linearly
+(Nocedal & Wright, Numerical Optimization, 2nd ed., section 10.3).  The
+uncapped least-squares polish keeps the Gauss-Newton model: on the noiseless
+records of the strictness sweep the residual vanishes at the optimum, where
+Gauss-Newton is already exact, and on 115 such polish inputs the exact term
+cost 26% more LM iterations.
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -126,6 +138,35 @@ def _factor_jacobian(stack: np.ndarray, v: np.ndarray, p: np.ndarray,
     return (2.0 * cap / float(np.sum((v.conj() * v).real))) * ev.reshape(m, -1).view(np.float64)
 
 
+def _factor_curvature(stack: np.ndarray, v: np.ndarray, w: np.ndarray,
+                      cap: float) -> np.ndarray:
+    """Real Hessian of V -> sum_mu w_mu p_mu at p_mu = cap Tr(E_mu V V^dagger) / ||V||_F^2.
+
+    The term that a Gauss-Newton or Fisher model of an objective with gradient
+    ``w`` in p leaves out.  With x the real view of V, t = ||V||_F^2,
+    G = sum_mu w_mu E_mu, q = Re Tr(V^dagger G V) / t and
+    u = realview(G V) - q x, it is
+    (2 cap / t) [R(G (x) I_r) - q I - (2 / t)(x u^T + u x^T)], where R(K) is the
+    real symmetric matrix with x^T R(K) x = Re z^dagger K z.  Rows and columns
+    interleave Re and Im of each entry of V, as :func:`_factor_jacobian` does.
+    """
+    g = np.tensordot(w, stack, 1)
+    k = np.kron(g, np.eye(v.shape[1]))
+    n = k.shape[0]
+    h = np.empty((2 * n, 2 * n))
+    h[0::2, 0::2] = h[1::2, 1::2] = k.real
+    h[0::2, 1::2] = -k.imag
+    h[1::2, 0::2] = k.imag
+    x = v.reshape(-1).view(np.float64)
+    t = float(x @ x)
+    gx = (g @ v).reshape(-1).view(np.float64)
+    q = float(x @ gx) / t
+    u = gx - q * x
+    h -= (2.0 / t) * (np.outer(x, u) + np.outer(u, x))
+    h[np.diag_indices(2 * n)] -= q
+    return (2.0 * cap / t) * h
+
+
 def _norm(r: np.ndarray) -> float:
     return math.sqrt(float(r @ r))
 
@@ -155,6 +196,15 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
     meets, the fit runs on the face Tr X = cap instead, on
     X = cap V V^dagger / ||V||_F^2 (Burer & Monteiro, Math. Program. 95, 329
     (2003)), so the refined matrix stays inside {X >= 0, Tr X <= cap}.
+
+    On the face the residual does not vanish at the optimum (on a Pareto
+    point below the optimal trace it exceeds the ball radius), and
+    Gauss-Newton converges only linearly on a nonzero residual, so the damped
+    system there is J^T J plus the curvature of the factor map weighted by
+    the residual (:func:`_factor_curvature`): a Newton step.  Off the face
+    the model stays Gauss-Newton: it is exact where the fit reaches zero, as
+    on noiseless records, and on 115 polish inputs of the strictness sweep
+    the full term cost 26% more iterations.
 
     The factor starts one column above the iterate's numerical rank.  Once
     its spare columns shrink, an over-parameterized factor converges slowly
@@ -195,6 +245,8 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
         j = _factor_jacobian(stack, v, r + fv, cap)
         g = j.T @ r
         a_lm = j.T @ j
+        if cap is not None:
+            a_lm += _factor_curvature(stack, v, r, cap)
         accepted = False
         for attempt in range(30):
             try:
@@ -235,14 +287,17 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
 
 def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
                        x: np.ndarray, mu: float = 0.0, iters: int = 120) -> np.ndarray | None:
-    """Damped Fisher scoring for the log-likelihood on a trace-normalized factor.
+    """Damped Newton steps for the log-likelihood on a trace-normalized factor.
 
     Likelihood surfaces near flat directions leave first-order methods with
-    large state error at tiny objective error; scoring with the Fisher
-    information metric removes that.  With ``mu`` > 0 the objective carries
-    the penalty (mu / 2) ||M[rho] - f||^2 as well, scored by its Gauss-Newton
-    metric.  Returns the real view of the refined density matrix, or None
-    when the iterate is essentially zero.
+    large state error at tiny objective error; second-order steps on the
+    factor remove that.  With ``mu`` > 0 the objective carries the penalty
+    (mu / 2) ||M[rho] - f||^2 as well.  The model is the Fisher matrix of
+    both terms, J^T diag(f / p^2 + mu) J, plus the curvature of the factor map
+    weighted by the gradient in p, mu r - f / p (:func:`_factor_curvature`).
+    That gradient does not vanish at the optimum, so without the curvature
+    term the steps converge only linearly.  Returns the real view of the
+    refined density matrix, or None when the iterate is essentially zero.
     """
     d = stack.shape[1]
     w, vecs = np.linalg.eigh(_mat(x, d))
@@ -269,12 +324,13 @@ def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
         # the likelihood sees rho = V V^dagger / ||V||^2, the factor map with cap 1
         jac = _factor_jacobian(stack, v, p, 1.0)
         weights = np.where(active, fv / (p * p), 0.0) + mu
-        grad = jac.T @ (mu * r - np.where(active, fv / p, 0.0))
-        fisher = (jac * weights[:, None]).T @ jac
+        gp = mu * r - np.where(active, fv / p, 0.0)
+        grad = jac.T @ gp
+        hess = (jac * weights[:, None]).T @ jac + _factor_curvature(stack, v, gp, 1.0)
         accepted = False
         for _ in range(25):
             try:
-                delta = np.linalg.solve(fisher + lm * eye, -grad)
+                delta = np.linalg.solve(hess + lm * eye, -grad)
             except np.linalg.LinAlgError:
                 lm *= 4.0
                 continue
@@ -611,7 +667,7 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
     Minimizes NLL(rho) = -sum_mu f_mu log Tr(E_mu rho) over density matrices
     rho with ||M[rho] - f||_2 <= eps, model probabilities clamped below at
     1e-12 inside the log.  Every solve runs on the shared core, the
-    likelihood ones with the Fisher scoring polish, in three steps:
+    likelihood ones with the Newton polish of the likelihood, in three steps:
 
     1. The plain MLE rho_0 over density matrices.  If it lies in the ball,
        the ball is inactive and rho_0 is optimal.

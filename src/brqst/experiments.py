@@ -11,9 +11,7 @@ compares the three convex estimators on the same records.
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,6 +216,8 @@ def _one_blas_thread():
     of small dense solves, so BLAS threads in several workers only
     oversubscribe the cores.
     """
+    import ctypes
+
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
         setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
@@ -231,6 +231,8 @@ def _pool(threads: int):
     """One process pool for a whole sweep, or, for one thread, None: run in this process."""
     if threads <= 1:
         return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread)
 
 

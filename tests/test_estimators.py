@@ -133,16 +133,16 @@ def test_ls_stops_at_round_off_fit():
     assert 0.5 * report.residual_norm ** 2 < estimators._ROUND_OFF
 
 
-def _first_polish_input(monkeypatch, run):
-    # the arguments of the first LM polish of run(): the iterate after the warm start
+def _first_polish_input(monkeypatch, run, name="_lm_residual_polish"):
+    # the arguments of the first polish of run(): the iterate after the warm start
     inputs = []
-    polish = estimators._lm_residual_polish
+    polish = getattr(estimators, name)
 
     def recording(stack, a, fv, x, *args, **kwargs):
         inputs.append((stack, a, fv, x.copy()))
         return polish(stack, a, fv, x, *args, **kwargs)
 
-    monkeypatch.setattr(estimators, "_lm_residual_polish", recording)
+    monkeypatch.setattr(estimators, name, recording)
     run()
     monkeypatch.undo()
     return inputs[0]
@@ -345,6 +345,24 @@ def test_trace_min_noiseless_goyeneche_reaches_slack():
     assert 1.0 - fidelity_pure(psi, report.estimate) < 1e-6
 
 
+def test_trace_min_polish_solves(monkeypatch):
+    # one trace-min call on a noisy Fig-2 record: its polishes on the face
+    # Tr X = tau are Newton steps and take 24 LM solves; with the
+    # Gauss-Newton model alone they took 212
+    povm, f, eps = _fig2_sweep_record(777, 2, 5)
+    solve = np.linalg.solve
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    report = estimate_trace_min(povm, f, eps, SWEEP_CFG)
+    assert report.converged
+    assert len(calls) <= 60
+
+
 def test_trace_min_certified_infeasible():
     # the same projector listed twice with frequencies 0.6 and 0.2: every X
     # gives equal entries, so the least residual is 0.2 sqrt(2) > eps
@@ -453,10 +471,14 @@ def _mle_duality_gap(povm, f, eps, rho):
     return (nll - bound(0.5 * (lo + hi))) / abs(nll)
 
 
-def test_mle_active_ball_duality_gap():
-    # state 11 of a seed-12 d=8 Fig-2 sweep at b=5: the plain MLE misses the
-    # ball, which still holds density matrices, so the ball is active
-    povm, f, eps = _fig2_sweep_record(12, 11, 5)
+@pytest.mark.parametrize("seed,state,b", [(12, 11, 5), (12, 26, 8), (21, 41, 5)])
+def test_mle_active_ball_duality_gap(seed, state, b):
+    # d=8 Fig-2 records where the plain MLE misses the ball, which still holds
+    # density matrices, so the ball is active.  The last two have large
+    # multipliers (mu ~ 477 on the first); there a Fisher polish without the
+    # curvature of the trace-normalized factor left a gradient near 1e-7, and
+    # this bound read 2.7e-8 and 2.6e-8
+    povm, f, eps = _fig2_sweep_record(seed, state, b)
     assert estimate_mle(povm, f, 1.0, SWEEP_CFG).residual_norm > eps
     report = estimate_mle(povm, f, eps, SWEEP_CFG)
     rho = report.raw.mat
@@ -465,6 +487,39 @@ def test_mle_active_ball_duality_gap():
     assert abs(np.trace(rho).real - 1.0) <= 1e-9
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
     assert _mle_duality_gap(povm, f, eps, rho) <= 1e-8
+
+
+def test_mle_inactive_ball_reaches_optimum():
+    # seed 11, state 10, b=5: the plain MLE lies inside the ball and is the
+    # answer.  With a Gauss-Newton Fisher model the polish crawled, the solve
+    # stopped after 1565 iterations 2.3e-7 relative above this NLL, and the
+    # bound read 1.65e-6
+    povm, f, eps = _fig2_sweep_record(11, 10, 5)
+    report = estimate_mle(povm, f, eps, SWEEP_CFG)
+    assert report.converged
+    assert report.residual_norm < eps
+    assert _mle_duality_gap(povm, f, eps, report.raw.mat) <= 1e-7
+
+
+def test_mle_fisher_polish_converges_fast(monkeypatch):
+    # the first likelihood polish, that of the plain MLE (mu = 0), on a noisy
+    # Fig-2 record: with the curvature of the trace-normalized factor it ends
+    # in 42 iterations; the Fisher model alone converged linearly and ran all 120
+    povm, f, eps = _fig2_sweep_record(777, 0, 5)
+    stack, a, fv, x = _first_polish_input(
+        monkeypatch, lambda: estimate_mle(povm, f, eps, SWEEP_CFG), "_fisher_polish_nll")
+    jacobian = estimators._factor_jacobian
+    steps = []
+
+    def recording(*args, **kwargs):
+        steps.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_factor_jacobian", recording)
+    out = estimators._fisher_polish_nll(stack, a, fv, x)
+    nll, _ = estimators._likelihood(a, fv, 0.0)
+    assert len(steps) <= 60
+    assert nll(out) <= nll(x)
 
 
 def test_mle_inactive_ball_respects_iteration_budget():

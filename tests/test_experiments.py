@@ -1,9 +1,13 @@
 import ctypes
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brqst
 from brqst import (
     BasisSet,
     HermitianMatrix,
@@ -190,6 +194,19 @@ def test_sweep_workers_run_one_blas_thread():
         pytest.skip("numpy's bundled OpenBLAS not found")
     with _pool(2) as pool:
         assert set(pool.map(_blas_threads, range(4))) == {1}
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only a sweep with more than one thread opens a pool, so starting any
+    # command must not import multiprocessing and its dependencies
+    src = str(Path(brqst.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = ("import sys, brqst.cli; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from brqst import RandomStream, bases_to_povm, build_random_bases, project_density, project_psd
 from brqst.estimators import (
     _apply_elements,
+    _factor_curvature,
     _factor_jacobian,
     _lm_residual_polish,
     _mat,
@@ -187,6 +188,32 @@ def test_capped_jacobian_matches_central_difference(d, seed, rank, cap):
     central = (fit(v + h * dv) - fit(v - h * dv)) / (2 * h)
     scale = cap * np.linalg.norm(dv) / np.linalg.norm(v)
     np.testing.assert_allclose(jac @ _vec(dv), central, rtol=0, atol=1e-7 * scale)
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=3), cap=scales)
+def test_factor_curvature_matches_central_difference(d, seed, rank, cap):
+    # the Hessian of sum_mu w_mu p_mu on the face Tr X = cap is the derivative
+    # of the gradient J^T w, column by column
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    a = _measurement_map(povm)
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    w = gen.standard_normal(len(povm))
+
+    def gradient(x):
+        u = x.view(np.complex128).reshape(d, rank)
+        p = a @ _vec(cap * (u @ u.conj().T) / np.linalg.norm(u) ** 2)
+        return _factor_jacobian(povm.stack, u, p, cap).T @ w
+
+    x = _vec(v)
+    h = 1e-5
+    steps = h * np.eye(x.size)
+    central = np.column_stack([(gradient(x + e) - gradient(x - e)) / (2 * h) for e in steps])
+    hess = _factor_curvature(povm.stack, v, w, cap)
+    scale = np.abs(central).max()
+    np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(hess, central, rtol=0, atol=1e-6 * scale)
 
 
 @SETTINGS
