@@ -33,10 +33,14 @@ objective's gradient in p (:func:`_factor_curvature`).  At their optima w is
 never zero (the residual is at least eps on the trace face, and -f/p does
 not vanish), so without that term the polishes converge only linearly
 (Nocedal & Wright, Numerical Optimization, 2nd ed., section 10.3).  The
-uncapped least-squares polish keeps the Gauss-Newton model: on the noiseless
-records of the strictness sweep the residual vanishes at the optimum, where
-Gauss-Newton is already exact, and on 115 such polish inputs the exact term
-cost 26% more LM iterations.
+uncapped least-squares polish is a hybrid (Fletcher & Xu, IMA J. Numer.
+Anal. 7, 371 (1987)): it starts on the Gauss-Newton model and adds the
+residual-weighted term only after an accepted step that lowered the fit by
+less than ``_LM_SLOW`` relative.  On a noisy record the residual stays
+nonzero and the fit soon falls slowly, so the polish turns to Newton steps;
+on the noiseless records of the strictness sweep the fit falls fast to
+round-off, where Gauss-Newton is already exact (the term everywhere cost 26%
+more LM iterations on 115 such polish inputs).
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -139,16 +143,17 @@ def _factor_jacobian(stack: np.ndarray, v: np.ndarray, p: np.ndarray,
 
 
 def _factor_curvature(stack: np.ndarray, v: np.ndarray, w: np.ndarray,
-                      cap: float) -> np.ndarray:
-    """Real Hessian of V -> sum_mu w_mu p_mu at p_mu = cap Tr(E_mu V V^dagger) / ||V||_F^2.
+                      cap: float | None = None) -> np.ndarray:
+    """Real Hessian of V -> sum_mu w_mu Tr(E_mu X), X = V V^dagger or cap V V^dagger / ||V||_F^2.
 
     The term that a Gauss-Newton or Fisher model of an objective with gradient
-    ``w`` in p leaves out.  With x the real view of V, t = ||V||_F^2,
-    G = sum_mu w_mu E_mu, q = Re Tr(V^dagger G V) / t and
-    u = realview(G V) - q x, it is
-    (2 cap / t) [R(G (x) I_r) - q I - (2 / t)(x u^T + u x^T)], where R(K) is the
-    real symmetric matrix with x^T R(K) x = Re z^dagger K z.  Rows and columns
-    interleave Re and Im of each entry of V, as :func:`_factor_jacobian` does.
+    ``w`` in p leaves out.  With G = sum_mu w_mu E_mu it is 2 R(G (x) I_r)
+    without a cap, where R(K) is the real symmetric matrix with
+    x^T R(K) x = Re z^dagger K z.  Under a cap, with x the real view of V,
+    t = ||V||_F^2, q = Re Tr(V^dagger G V) / t and u = realview(G V) - q x,
+    it is (2 cap / t) [R(G (x) I_r) - q I - (2 / t)(x u^T + u x^T)].  Rows and
+    columns interleave Re and Im of each entry of V, as
+    :func:`_factor_jacobian` does.
     """
     g = np.tensordot(w, stack, 1)
     k = np.kron(g, np.eye(v.shape[1]))
@@ -157,6 +162,8 @@ def _factor_curvature(stack: np.ndarray, v: np.ndarray, w: np.ndarray,
     h[0::2, 0::2] = h[1::2, 1::2] = k.real
     h[0::2, 1::2] = -k.imag
     h[1::2, 0::2] = k.imag
+    if cap is None:
+        return 2.0 * h
     x = v.reshape(-1).view(np.float64)
     t = float(x @ x)
     gx = (g @ v).reshape(-1).view(np.float64)
@@ -178,6 +185,9 @@ _ROUND_OFF = 1e-28
 _LM_MU_FLOOR = 1e-12
 # the LM polish stops once an accepted step lowers 0.5 ||r||^2 by less than this relative amount
 _LM_STALL = 1e-11
+# off the trace face, the LM polish adds the residual's curvature once an accepted
+# step lowers 0.5 ||r||^2 by less than this relative amount
+_LM_SLOW = 1e-2
 # factor columns whose Gram eigenvalue is below this fraction of the largest are dropped
 _LM_TRIM = 1e-10
 
@@ -202,9 +212,14 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
     Gauss-Newton converges only linearly on a nonzero residual, so the damped
     system there is J^T J plus the curvature of the factor map weighted by
     the residual (:func:`_factor_curvature`): a Newton step.  Off the face
-    the model stays Gauss-Newton: it is exact where the fit reaches zero, as
-    on noiseless records, and on 115 polish inputs of the strictness sweep
-    the full term cost 26% more iterations.
+    the model switches on the observed rate of decrease (Fletcher & Xu, IMA
+    J. Numer. Anal. 7, 371 (1987)).  The first iteration is Gauss-Newton,
+    exact where the fit reaches zero, as on noiseless records, and each
+    later one is a Newton step when the previous accepted step lowered
+    0.5 ||r||^2 by less than ``_LM_SLOW`` relative, the slow linear decrease
+    that Gauss-Newton shows on a residual that stays nonzero.  With the term
+    at every step, 115 polish inputs of the strictness sweep cost 26% more
+    iterations.
 
     The factor starts one column above the iterate's numerical rank.  Once
     its spare columns shrink, an over-parameterized factor converges slowly
@@ -241,11 +256,12 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
     best_v, best_obj = v, obj
     mu = 1e-3
     eye = np.eye(2 * v.size)
+    slow = False
     for _ in range(iters):
         j = _factor_jacobian(stack, v, r + fv, cap)
         g = j.T @ r
         a_lm = j.T @ j
-        if cap is not None:
+        if cap is not None or slow:
             a_lm += _factor_curvature(stack, v, r, cap)
         accepted = False
         for attempt in range(30):
@@ -267,6 +283,7 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
         # a stationary point, unless the step was merely overdamped: a tiny
         # decrease counts only when a smaller damping had just been rejected
         stalled = obj - obj_new < _LM_STALL * obj and attempt > 0
+        slow = obj - obj_new < _LM_SLOW * obj
         v, r, obj = v_new, r_new, obj_new
         if obj < best_obj:
             best_v, best_obj = v, obj

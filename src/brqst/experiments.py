@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,6 +83,9 @@ class RobustnessResult:
     medians: dict[str, dict[int, float]] = field(default_factory=dict)
     iqr: dict[str, dict[int, tuple[float, float]]] = field(default_factory=dict)
     failures: dict[str, int] = field(default_factory=dict)
+    # per estimator, how many cells failed with each InfeasibleError kind or
+    # other error class
+    failure_kinds: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def summarize(self):
         for est, per_b in self.infidelities.items():
@@ -320,7 +324,7 @@ def _union_radius(b: int, d: int, n_shots: int | None) -> float:
     return default_epsilon(b, d, n_shots) / b if n_shots else 1e-9
 
 
-def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
+def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]], dict[str, list[str]]]:
     family, d, basis_counts, q, n_shots, stream, cfg = args
     gen_state = stream.derive(0)
     psi = random_pure_state(d, gen_state)
@@ -330,6 +334,7 @@ def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
     per_group_freq = _basis_frequencies(povms[max(basis_counts)], sigma, n_shots,
                                         stream.derive(3).generator())
     out: dict[str, dict[int, float]] = {est: {} for est in ESTIMATORS}
+    why: dict[str, list[str]] = {est: [] for est in ESTIMATORS}
     for b in basis_counts:
         povm = povms[b]
         freqs = np.concatenate(per_group_freq[:b]) / b
@@ -348,9 +353,10 @@ def _robustness_task(args) -> tuple[int, dict[str, dict[int, float]]]:
             try:
                 report = call()
                 out[est][b] = 1.0 - fidelity_pure(psi, report.estimate)
-            except BrqstError:
+            except BrqstError as exc:
                 out[est][b] = float("nan")
-    return stream.stream_id, out
+                why[est].append(getattr(exc, "kind", None) or type(exc).__name__)
+    return stream.stream_id, out, why
 
 
 def run_robustness_sweep(dims: list[int], family: str, n_states: int,
@@ -363,7 +369,9 @@ def run_robustness_sweep(dims: list[int], family: str, n_states: int,
     Each state is a Haar-random pure target mixed with weight ``noise.q`` of
     a Hilbert-Schmidt random full-rank state; counts are simulated per basis
     and shared across growing basis counts, mirroring an incremental
-    measurement session.  Estimator failures are recorded as NaN cells.
+    measurement session.  Estimator failures are recorded as NaN cells, and
+    ``failure_kinds`` counts them per estimator by the raise's
+    :class:`InfeasibleError` kind, or by the error class for other failures.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -381,12 +389,15 @@ def run_robustness_sweep(dims: list[int], family: str, n_states: int,
                 out = list(pool.map(_robustness_task, tasks))
             else:
                 out = [_robustness_task(t) for t in tasks]
-            infids = {est: {b: np.array([res[est][b] for _, res in out])
+            infids = {est: {b: np.array([res[est][b] for _, res, _ in out])
                             for b in basis_counts} for est in ESTIMATORS}
+            kinds = {est: dict(sorted(Counter(k for _, _, why in out for k in why[est]).items()))
+                     for est in ESTIMATORS}
             result = RobustnessResult(
                 dimension=d, basis_family=family, q=noise.q,
                 shots_per_basis=n_shots, basis_counts=basis_counts,
                 infidelities=infids, state_seeds=[st.stream_id for st in streams],
+                failure_kinds=kinds,
             )
             result.summarize()
             results.append(result)
@@ -472,6 +483,7 @@ def robustness_summary(results: list[RobustnessResult]) -> dict:
                     for est in ESTIMATORS
                 },
                 "failures": res.failures,
+                "failure_kinds": res.failure_kinds,
             }
             for res in results
         ],

@@ -148,6 +148,27 @@ def _first_polish_input(monkeypatch, run, name="_lm_residual_polish"):
     return inputs[0]
 
 
+def _polish_steps(monkeypatch, stack, a, fv, x):
+    # one uncapped LM polish: its output, its Jacobians and its calls that add
+    # the curvature
+    jacobian, curvature = estimators._factor_jacobian, estimators._factor_curvature
+    steps, curved = [], []
+
+    def jac(*args, **kwargs):
+        steps.append(1)
+        return jacobian(*args, **kwargs)
+
+    def curv(*args, **kwargs):
+        curved.append(1)
+        return curvature(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_factor_jacobian", jac)
+    monkeypatch.setattr(estimators, "_factor_curvature", curv)
+    out = estimators._lm_residual_polish(stack, a, fv, x)
+    monkeypatch.undo()
+    return out, len(steps), len(curved)
+
+
 def test_ls_polish_trims_spare_columns(monkeypatch):
     # the record above: the warm start has six eigenvalues above 1e-3 of the
     # largest, so the factor starts at rank 7.  The polish drops the spare
@@ -174,22 +195,51 @@ def test_ls_polish_trims_spare_columns(monkeypatch):
 
 def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
     # a noisy Fig-2 record: the fit stalls at the noise floor, and the polish
-    # stops there instead of running to its 150-iteration cap (114 iterations
-    # here), returning a point no worse than the iterate it was given
+    # stops there instead of running to its 150-iteration cap (20 iterations
+    # here; 114 with the Gauss-Newton model alone), returning a point no worse
+    # than the iterate it was given
     povm, f, _ = _fig2_sweep_record(777, 1, 5)
     stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
-    jacobian = estimators._factor_jacobian
-    steps = []
+    out, steps, _ = _polish_steps(monkeypatch, stack, a, fv, x)
+    r0, r1 = a @ x - fv, a @ out - fv
+    assert steps < 150
+    assert r1 @ r1 <= r0 @ r0
+
+
+def test_ls_noisy_record_solves(monkeypatch):
+    # LS on a noisy Fig-2 record: once the fit stops falling fast, the LM
+    # polish adds the residual's curvature and converges in 33 LM solves; the
+    # Gauss-Newton model alone converged linearly and took 409, for a fit no
+    # better than this one
+    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    solve = np.linalg.solve
+    calls = []
 
     def recording(*args, **kwargs):
-        steps.append(1)
-        return jacobian(*args, **kwargs)
+        calls.append(1)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "_factor_jacobian", recording)
-    out = estimators._lm_residual_polish(stack, a, fv, x)
-    r0, r1 = a @ x - fv, a @ out - fv
-    assert len(steps) < 150
-    assert r1 @ r1 <= r0 @ r0
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    report = estimate_ls(povm, f, SWEEP_CFG)
+    assert len(calls) <= 60
+    assert report.objective <= 4.944640730727e-03 * (1 + 1e-12)
+
+
+def test_ls_polish_takes_newton_steps_only_when_slow(monkeypatch):
+    # the first LS polish of the noisy record above switches to Newton steps
+    # where its fit falls slowly and ends in 21 Jacobians (Gauss-Newton alone
+    # ran its 150-iteration cap); the noiseless Table-1 record's polish falls
+    # fast to round-off and stays Gauss-Newton throughout
+    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    noisy = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
+    _, steps, curved = _polish_steps(monkeypatch, *noisy)
+    assert steps < 40
+    assert curved > 0
+    rho = random_rank_r_state(11, 2, RandomStream(116))
+    povm = bases_to_povm(build_random_bases(11, 7, RandomStream(216)))
+    f = apply_measurement_map(povm, rho)
+    noiseless = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, TIGHT))
+    assert _polish_steps(monkeypatch, *noiseless)[2] == 0
 
 
 def test_ls_length_mismatch():

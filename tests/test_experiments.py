@@ -10,7 +10,9 @@ import pytest
 import brqst
 from brqst import (
     BasisSet,
+    DegenerateEstimateError,
     HermitianMatrix,
+    InfeasibleError,
     NoiseModel,
     RandomStream,
     SolverConfig,
@@ -246,6 +248,7 @@ def test_robustness_sweep_threads_match_serial():
     serial = run_robustness_sweep(threads=1, **kwargs)[0]
     parallel = run_robustness_sweep(threads=2, **kwargs)[0]
     assert serial.failures == parallel.failures
+    assert serial.failure_kinds == parallel.failure_kinds
     for est in ("ls", "trace", "mle"):
         for b in (3, 5):
             np.testing.assert_allclose(parallel.infidelities[est][b], serial.infidelities[est][b],
@@ -268,3 +271,37 @@ def test_robustness_rows_and_summary(tmp_path):
     summary = robustness_summary(res)
     cell = summary["cells"][0]
     assert set(cell["estimators"].keys()) == {"ls", "trace", "mle"}
+
+
+def test_robustness_sweep_keeps_failure_kinds(tmp_path, monkeypatch):
+    # a failed estimate stays a NaN cell, and the summary says why it failed:
+    # the InfeasibleError kind, or the class of any other domain error
+    def infeasible(*args, **kwargs):
+        raise InfeasibleError("no density matrix in the ball",
+                              kind="density_residual_exceeds_radius")
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateEstimateError("zero matrix")
+
+    monkeypatch.setattr(brqst.experiments, "estimate_mle", infeasible)
+    monkeypatch.setattr(brqst.experiments, "estimate_trace_min", degenerate)
+    res = run_robustness_sweep(
+        dims=[4], family="haar_global", n_states=2,
+        noise=NoiseModel(q=1e-3, shots_per_basis=300),
+        basis_range=[3, 4], rng=RandomStream(21),
+    )
+    assert res[0].failures == {"ls": 0, "trace": 4, "mle": 4}
+    assert res[0].failure_kinds == {"ls": {}, "trace": {"DegenerateEstimateError": 4},
+                                    "mle": {"density_residual_exceeds_radius": 4}}
+    for b in (3, 4):
+        assert np.isnan(res[0].infidelities["mle"][b]).all()
+        assert np.isnan(res[0].medians["mle"][b])
+        assert np.isfinite(res[0].infidelities["ls"][b]).all()
+    path = tmp_path / "rows.csv"
+    write_csv(path, robustness_rows(res))
+    text = path.read_text().splitlines()
+    assert text[0] == "dim,rank,family,b,seed,infidelity,estimator"
+    assert sum(line.endswith(",nan,mle") for line in text) == 4
+    cell = robustness_summary(res)["cells"][0]
+    assert cell["failures"] == res[0].failures
+    assert cell["failure_kinds"] == res[0].failure_kinds
