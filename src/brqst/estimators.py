@@ -17,30 +17,26 @@ the ball's Lagrange multiplier until the Lagrangian duality gap closes.
 
 Every solve polishes the iterate on a low-rank factor X = V V^dagger: first
 after a short warm start of 100 accelerated iterations, then after every
-500.  Least squares and each point of the Pareto curve polish by
-Levenberg-Marquardt on a factor that sheds its spare columns as their weight
-dies, so on a noiseless record that fixes the state the first polish
+500.  One polish serves all programs (:func:`_factor_polish`).  A program is
+described once, by its objective in the outcome vector p = M[X]: its value,
+its gradient w in p and its Gauss-Newton weights (:func:`_ls_fit`,
+:func:`_likelihood_fit`), and the projected-gradient core reads the same
+description.  The polish takes damped Newton steps on the factor, on the face
+Tr X = tau, X = tau V V^dagger / ||V||_F^2, when the iterate meets its trace
+cap (tau = 1 for the likelihood), so its candidate stays feasible and can be
+adopted.  The model is the Gauss-Newton or Fisher matrix plus
+sum_mu w_mu Hess p_mu(V) (:func:`_factor_curvature`).  On the face w is
+never zero at the optimum (the residual is at least eps on a Pareto point,
+and -f/p does not vanish), and without that term the polish converges only
+linearly (Nocedal & Wright, Numerical Optimization, 2nd ed., section 10.3).
+Off the face the model is a hybrid (Fletcher & Xu, IMA J. Numer. Anal. 7,
+371 (1987)): it starts on Gauss-Newton, exact where the fit reaches zero, and
+adds the term after an accepted step that lowered the objective by less than
+``_LM_SLOW`` relative (the term at every step cost 26% more iterations on 115
+noiseless polish inputs of the strictness sweep).  On a noiseless record
+that fixes the state the least-squares polish sheds its spare columns and
 typically ends on the state's rank at round-off; on noisy records it stops
-where the fit stalls.  When the iterate sits on its trace cap the polish
-runs on the face Tr X = tau, on X = tau V V^dagger / ||V||_F^2, so its
-candidate stays feasible and can be adopted.  Maximum likelihood polishes
-on the trace-normalized factor.
-
-The polishes of the two ball programs, the capped Levenberg-Marquardt polish
-and the likelihood polish, take damped steps on the exact Hessian: the
-Gauss-Newton or Fisher matrix plus sum_mu w_mu Hess p_mu(V), with w the
-objective's gradient in p (:func:`_factor_curvature`).  At their optima w is
-never zero (the residual is at least eps on the trace face, and -f/p does
-not vanish), so without that term the polishes converge only linearly
-(Nocedal & Wright, Numerical Optimization, 2nd ed., section 10.3).  The
-uncapped least-squares polish is a hybrid (Fletcher & Xu, IMA J. Numer.
-Anal. 7, 371 (1987)): it starts on the Gauss-Newton model and adds the
-residual-weighted term only after an accepted step that lowered the fit by
-less than ``_LM_SLOW`` relative.  On a noisy record the residual stays
-nonzero and the fit soon falls slowly, so the polish turns to Newton steps;
-on the noiseless records of the strictness sweep the fit falls fast to
-round-off, where Gauss-Newton is already exact (the term everywhere cost 26%
-more LM iterations on 115 such polish inputs).
+where the fit stalls.
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -178,115 +174,156 @@ def _norm(r: np.ndarray) -> float:
     return math.sqrt(float(r @ r))
 
 
-# an objective below this is zero to machine precision: the LM polish and the
-# solve both stop there
+# an objective below this is zero to machine precision: the polish and the solve stop there
 _ROUND_OFF = 1e-28
-# floor of the LM damping
+# iteration cap, damping floor and retries per iteration of the factor polish
+_POLISH_ITERS = 150
 _LM_MU_FLOOR = 1e-12
-# the LM polish stops once an accepted step lowers 0.5 ||r||^2 by less than this relative amount
+_LM_RETRIES = 30
+# the factor polish stops once an accepted step lowers its objective by less than
+# _LM_STALL relative although a smaller damping had just been rejected, or by
+# less than _LM_FLAT relative at all
 _LM_STALL = 1e-11
-# off the trace face, the LM polish adds the residual's curvature once an accepted
-# step lowers 0.5 ||r||^2 by less than this relative amount
+_LM_FLAT = 1e-14
+# off the trace face, the factor polish adds the curvature once an accepted step
+# lowers its objective by less than this relative amount
 _LM_SLOW = 1e-2
 # factor columns whose Gram eigenvalue is below this fraction of the largest are dropped
 _LM_TRIM = 1e-10
+# model probabilities are clamped below at this inside the log of the likelihood
+_LOG_CLAMP = 1e-12
+
+# a program's objective as a function of the outcome vector p: fit(p) returns
+# its value, its gradient w in p and its Gauss-Newton weights (None for unit
+# weights); fit(p, False), for the core's value calls, may leave the last two out
+_Fit = Callable[..., tuple]
 
 
-def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
-                        x: np.ndarray, iters: int = 150,
-                        cap: float | None = None) -> np.ndarray | None:
-    """Refine the data fit on a low-rank spectral factor of the iterate.
+def _ls_fit(fv: np.ndarray) -> _Fit:
+    """0.5 ||p - f||^2: w = p - f, unit weights."""
+    def fit(p: np.ndarray, grad: bool = True):
+        r = p - fv
+        return 0.5 * float(r @ r), r, None
+
+    return fit
+
+
+def _likelihood_fit(fv: np.ndarray, mu: float) -> _Fit:
+    """NLL(p) + (mu / 2) ||p - f||^2: w = mu r - f / p, weights f / p^2 + mu.
+
+    NLL(p) = -sum_mu f_mu log p_mu over the outcomes with f_mu > 0, with p
+    clamped below at ``_LOG_CLAMP``.
+    """
+    active = fv > 0
+    fa = fv[active]
+
+    def fit(p: np.ndarray, grad: bool = True):
+        r = p - fv
+        pc = np.maximum(p, _LOG_CLAMP)
+        value = -float(fa @ np.log(pc[active])) + 0.5 * mu * float(r @ r)
+        if not grad:
+            return value, None, None
+        return value, mu * r - fv / pc, fv / (pc * pc) + mu
+
+    return fit
+
+
+def _objective(a: np.ndarray, fit: _Fit):
+    """Value and value-and-gradient in x of a program's objective fit(A x)."""
+    def value(x: np.ndarray) -> float:
+        return fit(a @ x, False)[0]
+
+    def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        val, w, _ = fit(a @ x)
+        return val, a.T @ w
+
+    return value, value_grad
+
+
+def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
+                   cap: float | None, cut: float, spare: int,
+                   damping: float) -> np.ndarray | None:
+    """Damped Newton steps for fit(M[X]) on a low-rank spectral factor of the iterate.
 
     Projected gradient crawls when the optimum sits on a degenerate face of
     the PSD cone (small probe families have recovery constants of order
-    10^3, so certifying 1e-5 infidelity needs residuals near 1e-9).  This
-    stage factors the iterate as X = V V^dagger at its numerical rank and
-    drives ||M[V V^dagger] - f|| down by Levenberg-Marquardt, which is
-    immune to the cone geometry.  Given a ``cap`` that the iterate's trace
-    meets, the fit runs on the face Tr X = cap instead, on
-    X = cap V V^dagger / ||V||_F^2 (Burer & Monteiro, Math. Program. 95, 329
-    (2003)), so the refined matrix stays inside {X >= 0, Tr X <= cap}.
+    10^3, so certifying 1e-5 infidelity needs residuals near 1e-9); steps on
+    a factor V are immune to the cone geometry.  V keeps the eigenvalues
+    above ``cut`` of the largest, plus ``spare`` columns.  Given a ``cap``
+    that the iterate's trace meets, the polish runs on the face Tr X = cap,
+    on X = cap V V^dagger / ||V||_F^2 (Burer & Monteiro, Math. Program. 95,
+    329 (2003)), so the refined matrix stays inside {X >= 0, Tr X <= cap}.
+    The model is J^T diag(weights) J plus, on the face or after an accepted
+    step that lowered the objective by less than ``_LM_SLOW`` relative, the
+    curvature weighted by w (:func:`_factor_curvature`; see the module
+    docstring), and its Levenberg-Marquardt damping starts at ``damping``.
 
-    On the face the residual does not vanish at the optimum (on a Pareto
-    point below the optimal trace it exceeds the ball radius), and
-    Gauss-Newton converges only linearly on a nonzero residual, so the damped
-    system there is J^T J plus the curvature of the factor map weighted by
-    the residual (:func:`_factor_curvature`): a Newton step.  Off the face
-    the model switches on the observed rate of decrease (Fletcher & Xu, IMA
-    J. Numer. Anal. 7, 371 (1987)).  The first iteration is Gauss-Newton,
-    exact where the fit reaches zero, as on noiseless records, and each
-    later one is a Newton step when the previous accepted step lowered
-    0.5 ||r||^2 by less than ``_LM_SLOW`` relative, the slow linear decrease
-    that Gauss-Newton shows on a residual that stays nonzero.  With the term
-    at every step, 115 polish inputs of the strictness sweep cost 26% more
-    iterations.
-
-    The factor starts one column above the iterate's numerical rank.  Once
-    its spare columns shrink, an over-parameterized factor converges slowly
-    (Zhuo, Kwon, Ho & Caramanis, arXiv:2102.02756), so after an accepted step
-    that leaves the damping at its floor the Gram V^dagger V is decomposed
-    and its directions below ``_LM_TRIM`` of the largest eigenvalue are
-    dropped.  The polish stops at round-off, after ``iters`` iterations,
-    when no damping lowers the fit, or at a stationary point: an accepted
-    step that lowers 0.5 ||r||^2 by less than ``_LM_STALL`` relative
-    although a smaller damping had just been rejected.  It returns the real
-    view of the best matrix it visited (a trim can raise the fit slightly),
-    or None when the iterate is essentially zero.
+    Once its spare columns shrink, an over-parameterized factor converges
+    slowly (Zhuo, Kwon, Ho & Caramanis, arXiv:2102.02756), so after an
+    accepted step that leaves the damping at its floor the Gram V^dagger V is
+    decomposed and its directions below ``_LM_TRIM`` of the largest
+    eigenvalue are dropped.  The polish stops at round-off, after
+    ``_POLISH_ITERS`` iterations, when no damping lowers the objective, or
+    at a stationary point: an accepted step that lowers it by less than
+    ``_LM_FLAT`` relative, or by less than ``_LM_STALL`` although a smaller
+    damping had just been rejected.  It returns the real view of the best
+    matrix it visited (a trim can raise the objective slightly), or None
+    when the iterate is essentially zero.
     """
     d = stack.shape[1]
-    w, vecs = np.linalg.eigh(_mat(x, d))
-    lmax = float(w[-1])
+    lam, vecs = np.linalg.eigh(_mat(x, d))
+    lmax = float(lam[-1])
     if lmax <= 1e-12:
         return None
-    if cap is not None and float(w.sum()) < cap * (1.0 - 1e-9):
+    if cap is not None and float(lam.sum()) < cap * (1.0 - 1e-9):
         cap = None  # below the cap, which is then inactive
-    r_hat = min(d, int((w > 1e-3 * lmax).sum()) + 1)
-    idx = np.argsort(w)[::-1][:r_hat]
-    v = vecs[:, idx] * np.sqrt(np.maximum(w[idx], 0.0))
+    r_hat = min(d, int((lam > cut * lmax).sum()) + spare)
+    idx = np.argsort(lam)[::-1][:r_hat]
+    v = vecs[:, idx] * np.sqrt(np.maximum(lam[idx], 0.0))
 
-    def matrix(vv: np.ndarray) -> np.ndarray:
+    def evaluate(vv: np.ndarray):
         xx = vv @ vv.conj().T
-        return xx if cap is None else (cap / float(np.sum((vv.conj() * vv).real))) * xx
+        if cap is not None:
+            xx = cap * xx / float(np.sum((vv.conj() * vv).real))
+        p = a @ _vec(xx)
+        return (*fit(p), xx, p)
 
-    def residual(vv: np.ndarray) -> np.ndarray:
-        return a @ _vec(matrix(vv)) - fv
-
-    r = residual(v)
-    obj = 0.5 * float(r @ r)
-    best_v, best_obj = v, obj
-    mu = 1e-3
+    obj, w, weights, xx, p = evaluate(v)
+    best_x, best_obj = xx, obj
+    mu = damping
     eye = np.eye(2 * v.size)
     slow = False
-    for _ in range(iters):
-        j = _factor_jacobian(stack, v, r + fv, cap)
-        g = j.T @ r
-        a_lm = j.T @ j
+    for _ in range(_POLISH_ITERS):
+        j = _factor_jacobian(stack, v, p, cap)
+        g = j.T @ w
+        h = j.T @ j if weights is None else (j * weights[:, None]).T @ j
         if cap is not None or slow:
-            a_lm += _factor_curvature(stack, v, r, cap)
+            h += _factor_curvature(stack, v, w, cap)
         accepted = False
-        for attempt in range(30):
+        for attempt in range(_LM_RETRIES):
             try:
-                delta = np.linalg.solve(a_lm + mu * eye, -g)
+                delta = np.linalg.solve(h + mu * eye, -g)
             except np.linalg.LinAlgError:
                 mu *= 4.0
                 continue
             v_new = v + delta.view(np.complex128).reshape(v.shape)
-            r_new = residual(v_new)
-            obj_new = 0.5 * float(r_new @ r_new)
-            if obj_new < obj:
+            new = evaluate(v_new)
+            if new[0] < obj:
                 accepted = True
                 mu = max(mu * 0.3, _LM_MU_FLOOR)
                 break
             mu *= 4.0
         if not accepted:
             break
-        # a stationary point, unless the step was merely overdamped: a tiny
-        # decrease counts only when a smaller damping had just been rejected
-        stalled = obj - obj_new < _LM_STALL * obj and attempt > 0
-        slow = obj - obj_new < _LM_SLOW * obj
-        v, r, obj = v_new, r_new, obj_new
+        # a stationary point, unless the step was merely overdamped: a small
+        # decrease counts only when a smaller damping had just been rejected,
+        # a decrease at round-off always
+        drop, scale = obj - new[0], abs(obj)
+        stalled = drop < _LM_FLAT * scale or (drop < _LM_STALL * scale and attempt > 0)
+        slow = drop < _LM_SLOW * scale
+        v, (obj, w, weights, xx, p) = v_new, new
         if obj < best_obj:
-            best_v, best_obj = v, obj
+            best_x, best_obj = xx, obj
         if stalled or obj < _ROUND_OFF:
             break
         if mu <= _LM_MU_FLOOR and v.shape[1] > 1:
@@ -296,76 +333,30 @@ def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
             keep = gw > _LM_TRIM * gw[-1]
             if not keep.all():
                 v = v @ gu[:, keep]
-                r = residual(v)
-                obj = 0.5 * float(r @ r)
+                obj, w, weights, xx, p = evaluate(v)
                 eye = np.eye(2 * v.size)
-    return _vec(matrix(best_v))
+    return _vec(best_x)
+
+
+def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
+                        x: np.ndarray, cap: float | None = None) -> np.ndarray | None:
+    """The factor polish of 0.5 ||M[X] - f||^2, on the face Tr X = ``cap`` if the iterate meets it.
+
+    The factor starts one column above the iterate's numerical rank at 1e-3,
+    and the damping at 1e-3.
+    """
+    return _factor_polish(stack, a, x, _ls_fit(fv), cap, 1e-3, 1, 1e-3)
 
 
 def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
-                       x: np.ndarray, mu: float = 0.0, iters: int = 120) -> np.ndarray | None:
-    """Damped Newton steps for the log-likelihood on a trace-normalized factor.
+                       x: np.ndarray, mu: float = 0.0) -> np.ndarray | None:
+    """The factor polish of NLL + (mu / 2) ||M[rho] - f||^2 on rho = V V^dagger / ||V||_F^2.
 
-    Likelihood surfaces near flat directions leave first-order methods with
-    large state error at tiny objective error; second-order steps on the
-    factor remove that.  With ``mu`` > 0 the objective carries the penalty
-    (mu / 2) ||M[rho] - f||^2 as well.  The model is the Fisher matrix of
-    both terms, J^T diag(f / p^2 + mu) J, plus the curvature of the factor map
-    weighted by the gradient in p, mu r - f / p (:func:`_factor_curvature`).
-    That gradient does not vanish at the optimum, so without the curvature
-    term the steps converge only linearly.  Returns the real view of the
-    refined density matrix, or None when the iterate is essentially zero.
+    The factor starts at the iterate's numerical rank at 1e-6, and the
+    damping at 1e-2: with least squares' 1e-3 and 1e-3, the 40 Fig-2 records
+    of seeds 777 and 4242 at b = 5 and 9 took 22% more likelihood solves.
     """
-    d = stack.shape[1]
-    w, vecs = np.linalg.eigh(_mat(x, d))
-    lmax = float(w[-1])
-    if lmax <= 1e-12:
-        return None
-    active = fv > 0
-    fa = fv[active]
-    r_hat = min(d, int((w > 1e-6 * lmax).sum()))
-    idx = np.argsort(w)[::-1][:r_hat]
-    v = vecs[:, idx] * np.sqrt(np.maximum(w[idx], 1e-15))
-
-    def objective(vv: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        tau = float(np.sum((vv.conj() * vv).real))
-        q = a @ _vec((vv @ vv.conj().T) / tau)
-        p = np.maximum(q, _LOG_CLAMP)
-        r = q - fv
-        return -float(fa @ np.log(p[active])) + 0.5 * mu * float(r @ r), p, r
-
-    obj, p, r = objective(v)
-    lm = 1e-2
-    eye = np.eye(2 * v.size)
-    for _ in range(iters):
-        # the likelihood sees rho = V V^dagger / ||V||^2, the factor map with cap 1
-        jac = _factor_jacobian(stack, v, p, 1.0)
-        weights = np.where(active, fv / (p * p), 0.0) + mu
-        gp = mu * r - np.where(active, fv / p, 0.0)
-        grad = jac.T @ gp
-        hess = (jac * weights[:, None]).T @ jac + _factor_curvature(stack, v, gp, 1.0)
-        accepted = False
-        for _ in range(25):
-            try:
-                delta = np.linalg.solve(hess + lm * eye, -grad)
-            except np.linalg.LinAlgError:
-                lm *= 4.0
-                continue
-            v_new = v + delta.view(np.complex128).reshape(v.shape)
-            obj_new, p_new, r_new = objective(v_new)
-            if obj_new < obj:
-                accepted = True
-                lm = max(lm * 0.3, 1e-10)
-                break
-            lm *= 4.0
-        if not accepted:
-            break
-        rel = (obj - obj_new) / max(abs(obj), 1e-300)
-        v, obj, p, r = v_new, obj_new, p_new, r_new
-        if rel < 1e-14:
-            break
-    rho = (v @ v.conj().T) / float(np.sum((v.conj() * v).real))
-    return _vec(rho)
+    return _factor_polish(stack, a, x, _likelihood_fit(fv, mu), 1.0, 1e-6, 0, 1e-2)
 
 
 _CHUNK = 500
@@ -382,8 +373,6 @@ _GAP_FRACTION = 0.5
 _MULTIPLIER_SOLVES = 60
 # MLE's multiplier search stops at this relative duality gap
 _GAP_TOL = 1e-8
-# model probabilities are clamped below at this inside the log of the likelihood
-_LOG_CLAMP = 1e-12
 
 
 def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
@@ -510,14 +499,7 @@ def _finish(x: np.ndarray, d: int, objective: float, residual: float,
 def _data_fit(povm: Povm, fv: np.ndarray):
     """Value, value-and-gradient and LM polish of 0.5 ||A x - f||^2."""
     a = _measurement_map(povm)
-
-    def value(x: np.ndarray) -> float:
-        r = a @ x - fv
-        return 0.5 * float(r @ r)
-
-    def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = a @ x - fv
-        return 0.5 * float(r @ r), a.T @ r
+    value, value_grad = _objective(a, _ls_fit(fv))
 
     def polish(x: np.ndarray, cap: float | None = None) -> np.ndarray | None:
         return _lm_residual_polish(povm.stack, a, fv, x, cap=cap)
@@ -652,28 +634,8 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
 
 
 def _likelihood(a: np.ndarray, fv: np.ndarray, mu: float):
-    """Value and value-and-gradient of NLL(x) + (mu / 2) ||A x - f||^2.
-
-    NLL(x) = -sum_mu f_mu log p_mu over the outcomes with f_mu > 0, where
-    p = A x is clamped below at ``_LOG_CLAMP`` inside the log.
-    """
-    active = fv > 0
-    fa = fv[active]
-
-    def value(x: np.ndarray) -> float:
-        p = a @ x
-        r = p - fv
-        return -float(fa @ np.log(np.maximum(p[active], _LOG_CLAMP))) + 0.5 * mu * float(r @ r)
-
-    def value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = a @ x
-        r = p - fv
-        pa = np.maximum(p[active], _LOG_CLAMP)
-        w = mu * r
-        w[active] -= fa / pa
-        return -float(fa @ np.log(pa)) + 0.5 * mu * float(r @ r), a.T @ w
-
-    return value, value_grad
+    """Value and value-and-gradient in x of the likelihood program :func:`_likelihood_fit`."""
+    return _objective(a, _likelihood_fit(fv, mu))
 
 
 def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,

@@ -195,7 +195,7 @@ def test_ls_polish_trims_spare_columns(monkeypatch):
 
 def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
     # a noisy Fig-2 record: the fit stalls at the noise floor, and the polish
-    # stops there instead of running to its 150-iteration cap (20 iterations
+    # stops there instead of running to its 150-iteration cap (18 iterations
     # here; 114 with the Gauss-Newton model alone), returning a point no worse
     # than the iterate it was given
     povm, f, _ = _fig2_sweep_record(777, 1, 5)
@@ -208,7 +208,7 @@ def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
 
 def test_ls_noisy_record_solves(monkeypatch):
     # LS on a noisy Fig-2 record: once the fit stops falling fast, the LM
-    # polish adds the residual's curvature and converges in 33 LM solves; the
+    # polish adds the residual's curvature and converges in 25 LM solves; the
     # Gauss-Newton model alone converged linearly and took 409, for a fit no
     # better than this one
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
@@ -227,7 +227,7 @@ def test_ls_noisy_record_solves(monkeypatch):
 
 def test_ls_polish_takes_newton_steps_only_when_slow(monkeypatch):
     # the first LS polish of the noisy record above switches to Newton steps
-    # where its fit falls slowly and ends in 21 Jacobians (Gauss-Newton alone
+    # where its fit falls slowly and ends in 20 Jacobians (Gauss-Newton alone
     # ran its 150-iteration cap); the noiseless Table-1 record's polish falls
     # fast to round-off and stays Gauss-Newton throughout
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
@@ -240,6 +240,22 @@ def test_ls_polish_takes_newton_steps_only_when_slow(monkeypatch):
     f = apply_measurement_map(povm, rho)
     noiseless = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, TIGHT))
     assert _polish_steps(monkeypatch, *noiseless)[2] == 0
+
+
+def test_ls_polish_stops_on_flat_step(monkeypatch):
+    # the first LS polish of the noisy record above ends on an accepted step
+    # that lowers its fit by less than _LM_FLAT relative, at the first try, so
+    # the stall test, which needs a rejected smaller damping, does not fire.
+    # Without that stop the polish takes one more Jacobian (21 against 20) for
+    # a fit 4e-16 relative lower
+    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
+    out, steps, _ = _polish_steps(monkeypatch, stack, a, fv, x)
+    monkeypatch.setattr(estimators, "_LM_FLAT", 0.0)
+    longer, longer_steps, _ = _polish_steps(monkeypatch, stack, a, fv, x)
+    r, r_longer = a @ out - fv, a @ longer - fv
+    assert steps < longer_steps
+    assert r @ r <= (r_longer @ r_longer) * (1 + 1e-14)
 
 
 def test_ls_length_mismatch():
@@ -494,7 +510,7 @@ def _mle_duality_gap(povm, f, eps, rho):
     # matrix sigma in the ball has NLL(sigma) >= L_mu(sigma) >= L_mu(rho) +
     # Tr(G_mu (sigma - rho)) >= L_mu(rho) + lambda_min(G_mu) - Tr(G_mu rho), with
     # G_mu the gradient of L_mu at rho (convexity).  Returns NLL(rho) minus the
-    # largest of these lower bounds over mu, relative to NLL(rho).
+    # largest of these lower bounds over mu, mu = 0 included, relative to NLL(rho).
     fv = f.values
     p = np.einsum("mij,ji->m", povm.stack, rho).real
     r = p - fv
@@ -502,23 +518,24 @@ def _mle_duality_gap(povm, f, eps, rho):
     g0 = np.einsum("m,mij->ij", np.where(fv > 0, -fv / np.maximum(p, 1e-300), 0.0), povm.stack)
     g1 = np.einsum("m,mij->ij", r, povm.stack)
 
-    def bound(log_mu):
-        mu = np.exp(log_mu)
+    def bound(mu):
         g = g0 + mu * g1
         return (nll + 0.5 * mu * (r @ r - eps * eps) + np.linalg.eigvalsh(g)[0]
                 - np.trace(g @ rho).real)
 
     # the bound is concave in mu: scan, then golden-section search in log mu
     grid = np.linspace(np.log(1e-3), np.log(1e8), 221)
-    i = int(np.argmax([bound(t) for t in grid]))
+    i = int(np.argmax([bound(np.exp(t)) for t in grid]))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     for _ in range(60):
         m1, m2 = lo + 0.382 * (hi - lo), hi - 0.382 * (hi - lo)
-        if bound(m1) < bound(m2):
+        if bound(np.exp(m1)) < bound(np.exp(m2)):
             lo = m1
         else:
             hi = m2
-    return (nll - bound(0.5 * (lo + hi))) / abs(nll)
+    # the scan starts at mu = 1e-3; with the ball inactive the best bound is at
+    # mu = 0, nll + lambda_min(G_0) - Tr(G_0 rho)
+    return (nll - max(bound(0.0), bound(np.exp(0.5 * (lo + hi))))) / abs(nll)
 
 
 @pytest.mark.parametrize("seed,state,b", [(12, 11, 5), (12, 26, 8), (21, 41, 5)])
@@ -543,18 +560,20 @@ def test_mle_inactive_ball_reaches_optimum():
     # seed 11, state 10, b=5: the plain MLE lies inside the ball and is the
     # answer.  With a Gauss-Newton Fisher model the polish crawled, the solve
     # stopped after 1565 iterations 2.3e-7 relative above this NLL, and the
-    # bound read 1.65e-6
+    # bound read 1.65e-6.  The bound at mu = 0 reads 1.6e-14 here; from
+    # mu = 1e-3 upward the best one read 4.2e-8
     povm, f, eps = _fig2_sweep_record(11, 10, 5)
     report = estimate_mle(povm, f, eps, SWEEP_CFG)
     assert report.converged
     assert report.residual_norm < eps
-    assert _mle_duality_gap(povm, f, eps, report.raw.mat) <= 1e-7
+    assert _mle_duality_gap(povm, f, eps, report.raw.mat) <= 1e-12
 
 
 def test_mle_fisher_polish_converges_fast(monkeypatch):
     # the first likelihood polish, that of the plain MLE (mu = 0), on a noisy
     # Fig-2 record: with the curvature of the trace-normalized factor it ends
-    # in 42 iterations; the Fisher model alone converged linearly and ran all 120
+    # in 39 iterations; the Fisher model alone converged linearly and ran to
+    # its cap of 120
     povm, f, eps = _fig2_sweep_record(777, 0, 5)
     stack, a, fv, x = _first_polish_input(
         monkeypatch, lambda: estimate_mle(povm, f, eps, SWEEP_CFG), "_fisher_polish_nll")

@@ -15,6 +15,8 @@ from brqst.estimators import (
     _apply_elements,
     _factor_curvature,
     _factor_jacobian,
+    _fisher_polish_nll,
+    _likelihood,
     _lm_residual_polish,
     _mat,
     _measurement_map,
@@ -236,6 +238,29 @@ def test_capped_polish_stays_on_face(d, seed, rank, cap):
     assert abs(np.trace(xp).real - cap) <= 1e-12 * cap
     r0, r1 = a @ x - fv, a @ out - fv
     assert r1 @ r1 <= r0 @ r0
+
+
+@SETTINGS
+@given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=3),
+       mu=st.sampled_from([0.0, 1.0, 100.0]))
+def test_likelihood_polish_returns_better_density_matrix(d, seed, rank, mu):
+    # the likelihood polish refines a density matrix to a density matrix whose
+    # penalized NLL, NLL + (mu / 2) ||M[rho] - f||^2, is no higher
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    a = _measurement_map(povm)
+    target = _low_rank(d, rank, gen)
+    fv = np.maximum(a @ _vec(target / np.trace(target).real)
+                    + 1e-2 * gen.standard_normal(len(povm)) / d, 0.0)
+    start = _low_rank(d, d, gen)
+    x = _vec(start / np.trace(start).real)
+    out = _fisher_polish_nll(povm.stack, a, fv, x, mu=mu)
+    rho = _mat(out, d)
+    np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    value, _ = _likelihood(a, fv, mu)
+    assert value(out) <= value(x)
 
 
 @SETTINGS
