@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brqst import (
     BasisSet,
@@ -208,7 +210,7 @@ def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
 
 def test_ls_noisy_record_solves(monkeypatch):
     # LS on a noisy Fig-2 record: once the fit stops falling fast, the LM
-    # polish adds the residual's curvature and converges in 25 LM solves; the
+    # polish adds the residual's curvature and converges in 24 LM solves; the
     # Gauss-Newton model alone converged linearly and took 409, for a fit no
     # better than this one
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
@@ -256,6 +258,48 @@ def test_ls_polish_stops_on_flat_step(monkeypatch):
     r, r_longer = a @ out - fv, a @ longer - fv
     assert steps < longer_steps
     assert r @ r <= (r_longer @ r_longer) * (1 + 1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(min_value=2, max_value=5), b=st.integers(min_value=1, max_value=5),
+       rank=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_ls_gap_bounds_excess_over_ls_fit(d, b, rank, seed):
+    # weak duality: at any X >= 0 the gap is at least the objective's excess
+    # over its minimum, so over the objective at the LS estimate
+    bs = build_random_bases(d, b, RandomStream(seed))
+    povm = bases_to_povm(bs)
+    f = simulate_counts(bs, random_mixed_hs(d, RandomStream(seed, 1)).mat, 50, RandomStream(seed, 2))
+    a = estimators._measurement_map(povm)
+    gap = estimators._ls_gap(povm, a, f.values)
+    _, best = gap(estimators._vec(estimate_ls(povm, f, TIGHT).raw.mat))
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    g, value = gap(estimators._vec(gen.uniform(0.1, 2.0) * v @ v.conj().T / d))
+    assert g >= value - best - 1e-12
+
+
+def test_ls_certificate_stops_noisy_record():
+    # the noisy Fig-2 record: the first polish ends at the optimum, where the
+    # gap reads 9e-13 of the objective, and the solve stops on it after the
+    # warm start; without the certificate it ran a 10-iteration chunk and a
+    # polish more
+    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    report = estimate_ls(povm, f, SWEEP_CFG)
+    gap, value = estimators._ls_gap(povm, estimators._measurement_map(povm), f.values)(
+        estimators._vec(report.raw.mat))
+    assert report.converged
+    assert gap <= estimators._LS_GAP * value
+    assert report.iterations <= 100
+
+
+def test_ls_gap_needs_identity_sum():
+    # the duplicate-projector POVM of test_trace_min_certified_infeasible sums
+    # to 2 |0><0|, not to a multiple of I: no cheap dual point, no certificate
+    p0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
+    povm = Povm(2, (p0, p0))
+    assert estimators._ls_gap(povm, estimators._measurement_map(povm), np.array([0.6, 0.2])) is None
+    pauli = _pauli_povm()
+    assert estimators._ls_gap(pauli, estimators._measurement_map(pauli), np.full(6, 1 / 6)) is not None
 
 
 def test_ls_length_mismatch():
@@ -413,7 +457,8 @@ def test_trace_min_noiseless_goyeneche_reaches_slack():
 
 def test_trace_min_polish_solves(monkeypatch):
     # one trace-min call on a noisy Fig-2 record: its polishes on the face
-    # Tr X = tau are Newton steps and take 24 LM solves; with the
+    # Tr X = tau are Newton steps and take 37 LM solves (23 after 100-iteration
+    # warm starts, which cost 181 more eigendecompositions); with the
     # Gauss-Newton model alone they took 212
     povm, f, eps = _fig2_sweep_record(777, 2, 5)
     solve = np.linalg.solve
@@ -427,6 +472,19 @@ def test_trace_min_polish_solves(monkeypatch):
     report = estimate_trace_min(povm, f, eps, SWEEP_CFG)
     assert report.converged
     assert len(calls) <= 60
+
+
+def test_ball_programs_polish_after_short_warm_start():
+    # the noisy Fig-2 record: trace minimization and the likelihood polish
+    # after 20 FISTA iterations, and the plain MLE then stops on its
+    # Frank-Wolfe gap; with a warm start of 100 and no certificate they took
+    # 230 and 110 iterations
+    povm, f, eps = _fig2_sweep_record(777, 2, 5)
+    trace = estimate_trace_min(povm, f, eps, SWEEP_CFG)
+    mle = estimate_mle(povm, f, eps, SWEEP_CFG)
+    assert trace.converged and mle.converged
+    assert trace.iterations <= 120
+    assert mle.iterations <= 40
 
 
 def test_trace_min_certified_infeasible():
@@ -505,12 +563,12 @@ def _fig2_sweep_record(seed, state, b, d=8, q=1e-3, shots=2400):
 SWEEP_CFG = SolverConfig(max_iterations=20_000, relative_tolerance=1e-10)
 
 
-def _mle_duality_gap(povm, f, eps, rho):
+def _mle_lower_bounds(povm, f, eps, rho):
     # For mu >= 0 and L_mu = NLL + (mu / 2)(||M[.] - f||^2 - eps^2), every density
     # matrix sigma in the ball has NLL(sigma) >= L_mu(sigma) >= L_mu(rho) +
     # Tr(G_mu (sigma - rho)) >= L_mu(rho) + lambda_min(G_mu) - Tr(G_mu rho), with
-    # G_mu the gradient of L_mu at rho (convexity).  Returns NLL(rho) minus the
-    # largest of these lower bounds over mu, mu = 0 included, relative to NLL(rho).
+    # G_mu the gradient of L_mu at rho (convexity).  Returns NLL(rho) and that
+    # lower bound as a function of mu.
     fv = f.values
     p = np.einsum("mij,ji->m", povm.stack, rho).real
     r = p - fv
@@ -523,6 +581,13 @@ def _mle_duality_gap(povm, f, eps, rho):
         return (nll + 0.5 * mu * (r @ r - eps * eps) + np.linalg.eigvalsh(g)[0]
                 - np.trace(g @ rho).real)
 
+    return nll, bound
+
+
+def _mle_duality_gap(povm, f, eps, rho):
+    # NLL(rho) minus the largest lower bound of _mle_lower_bounds over mu,
+    # mu = 0 included, relative to NLL(rho)
+    nll, bound = _mle_lower_bounds(povm, f, eps, rho)
     # the bound is concave in mu: scan, then golden-section search in log mu
     grid = np.linspace(np.log(1e-3), np.log(1e8), 221)
     i = int(np.argmax([bound(np.exp(t)) for t in grid]))
@@ -560,7 +625,8 @@ def test_mle_inactive_ball_reaches_optimum():
     # seed 11, state 10, b=5: the plain MLE lies inside the ball and is the
     # answer.  With a Gauss-Newton Fisher model the polish crawled, the solve
     # stopped after 1565 iterations 2.3e-7 relative above this NLL, and the
-    # bound read 1.65e-6.  The bound at mu = 0 reads 1.6e-14 here; from
+    # bound read 1.65e-6.  The bound at mu = 0 reads 7.9e-16 here (1.6e-14
+    # with a 100-iteration warm start and no Frank-Wolfe stop); from
     # mu = 1e-3 upward the best one read 4.2e-8
     povm, f, eps = _fig2_sweep_record(11, 10, 5)
     report = estimate_mle(povm, f, eps, SWEEP_CFG)
@@ -569,11 +635,24 @@ def test_mle_inactive_ball_reaches_optimum():
     assert _mle_duality_gap(povm, f, eps, report.raw.mat) <= 1e-12
 
 
+def test_mle_frank_wolfe_gap_is_mu_zero_bound():
+    # the stop test of the likelihood solves, <w, p> - lambda_min(M^dagger[w]),
+    # is NLL minus the mu = 0 lower bound above, here at 1e-16 of the NLL apart
+    povm, f, eps = _fig2_sweep_record(11, 10, 5)
+    rho = estimate_mle(povm, f, eps, SWEEP_CFG).raw.mat
+    a = estimators._measurement_map(povm)
+    fw = estimators._frank_wolfe_gap(a, estimators._likelihood_fit(f.values, 0.0), povm.dim)
+    gap, value = fw(estimators._vec(rho))
+    nll, bound = _mle_lower_bounds(povm, f, eps, rho)
+    assert value == pytest.approx(nll, rel=1e-14)
+    assert abs(gap - (nll - bound(0.0))) <= 1e-14 * nll
+
+
 def test_mle_fisher_polish_converges_fast(monkeypatch):
     # the first likelihood polish, that of the plain MLE (mu = 0), on a noisy
     # Fig-2 record: with the curvature of the trace-normalized factor it ends
-    # in 39 iterations; the Fisher model alone converged linearly and ran to
-    # its cap of 120
+    # in 17 iterations after the 20-iteration warm start (39 after one of 100);
+    # the Fisher model alone converged linearly and ran to its cap of 120
     povm, f, eps = _fig2_sweep_record(777, 0, 5)
     stack, a, fv, x = _first_polish_input(
         monkeypatch, lambda: estimate_mle(povm, f, eps, SWEEP_CFG), "_fisher_polish_nll")

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brqst
 from brqst import (
@@ -17,6 +19,7 @@ from brqst import (
     RandomStream,
     SolverConfig,
     build_random_bases,
+    random_mixed_hs,
     random_pure_state,
     run_robustness_sweep,
     run_strictness_sweep,
@@ -80,6 +83,27 @@ def test_simulate_counts_blocks_sum_exactly():
         block = mv.values[i * d : (i + 1) * d]
         assert block.sum() * b == pytest.approx(1.0, abs=1e-15)
         assert (block >= 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=1, max_value=8), b=st.integers(min_value=1, max_value=9),
+       shots=st.integers(min_value=1, max_value=5000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_simulate_counts_blocks_sum_property(d, b, shots, seed):
+    # every block holds counts / (b shots) whose counts sum to exactly shots,
+    # so the block sums to 1 / b up to the rounding of its float sum (one ulp
+    # off in a fifth of 15000 blocks sampled)
+    bs = build_random_bases(d, b, RandomStream(seed))
+    rho = random_mixed_hs(d, RandomStream(seed, 1)).mat
+    mv = simulate_counts(bs, rho, shots, RandomStream(seed, 2))
+    assert mv.values.shape == (b * d,) and mv.total_shots == b * shots
+    for i in range(b):
+        block = mv.values[i * d : (i + 1) * d]
+        counts = block * b * shots
+        assert (block >= 0).all()
+        assert np.abs(counts - np.rint(counts)).max() <= 1e-9
+        assert int(np.rint(counts).sum()) == shots
+        assert abs(block.sum() * b - 1.0) <= 4 * np.finfo(float).eps
 
 
 def test_simulate_counts_independent_blocks_for_identical_bases():

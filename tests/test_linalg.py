@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brqst import (
     HermitianMatrix,
@@ -270,6 +272,20 @@ def test_seeded_determinism():
     t = RandomStream(5).derive(1, 2)
     assert s == t
     assert RandomStream(5).derive(2, 1) != s
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_hvec_isometry_and_inverse_property(d, seed, scale):
+    # hunvec inverts hvec and hvec preserves the Frobenius norm, to round-off
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    h = scale * (g + g.conj().T) / 2
+    x = hvec(h)
+    tol = 1e-15 * np.linalg.norm(h, "fro")
+    assert np.abs(hunvec(x, d) - h).max() <= tol
+    assert abs(np.linalg.norm(x) - np.linalg.norm(h, "fro")) <= 4 * tol
 
 
 def test_hvec_isometry_and_inverse():
