@@ -218,7 +218,9 @@ def _solve_member(work: np.ndarray, known: np.ndarray, member: PlanMember,
         return False, False
     a_block = work[np.ix_(a_idx, a_idx)]
     sv = np.linalg.svd(a_block, compute_uv=False)
-    if sv.size < r or sv[-1] <= tol * sv[0] or sv[0] == 0.0:
+    # the entries of a state are at most 1 in modulus: a block of round-off
+    # against that is singular however well it is conditioned
+    if sv.size < r or sv[-1] <= tol * max(sv[0], 1.0):
         return False, True
     a_inv = np.linalg.inv(a_block)
     progressed = False
@@ -237,8 +239,9 @@ def complete_rankr(partial: PartialMatrix, r: int, plan: SubmatrixPlan,
 
     Executes the plan in order, permuting each member so its measured A block
     leads, and writes C = B A^{-1} B^dagger entries back.  Alternate members
-    are consulted when a designated A block is numerically singular (smallest
-    singular value below ``tol`` times the largest).  Raises
+    are consulted when a designated A block is numerically singular: its
+    smallest singular value is below ``tol`` times its largest, or below
+    ``tol`` itself.  Raises
     :class:`FailureSetError` when unmeasured entries remain unrecoverable.
     """
     d = partial.dim

@@ -20,7 +20,8 @@ after a warm start of accelerated iterations, 100 for least squares and 20
 for trace minimization and the likelihood, then after every 500.  After a
 polish a solve also stops on a certificate of optimality where its program
 has a cheap one: least squares on its duality gap when the POVM elements
-sum to a multiple of I, the likelihood on its Frank-Wolfe gap.  One polish
+sum to a multiple of I, the likelihood and the least-residual density
+matrix on their Frank-Wolfe gaps.  One polish
 serves all programs (:func:`_factor_polish`).  A program is
 described once, by its objective in the outcome vector p = M[X]: its value,
 its gradient w in p and its Gauss-Newton weights (:func:`_ls_fit`,
@@ -40,7 +41,9 @@ adds the term after an accepted step that lowered the objective by less than
 noiseless polish inputs of the strictness sweep).  On a noiseless record
 that fixes the state the least-squares polish sheds its spare columns and
 typically ends on the state's rank at round-off; on noisy records it stops
-where the fit stalls.
+where the fit stalls.  A Gauss-Newton step of least squares on a factor with
+more real unknowns than the record has outcomes is solved in the smaller,
+outcome space (the push-through identity).
 
 The core runs in matrix space.  An iterate is the real view
 (``X.reshape(-1).view(np.float64)``, length 2 d^2) of a C-contiguous complex
@@ -323,6 +326,15 @@ def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
     step that lowered the objective by less than ``_LM_SLOW`` relative, the
     curvature weighted by w (:func:`_factor_curvature`; see the module
     docstring), and its Levenberg-Marquardt damping starts at ``damping``.
+    A Gauss-Newton step of least squares (unit weights, no curvature) whose
+    Jacobian J has fewer rows m than columns n is solved in outcome space,
+    (J J^T + mu I) z = w and delta = -J^T z: by the push-through identity the
+    step of (J^T J + mu I) delta = -J^T w, from m x m instead of n x n.  For
+    a union of b bases J J^T is singular on the b - 1 differences of the
+    basis blocks (each block of J sums to the gradient of Tr X / b); the
+    damping floor keeps it nonsingular, and w = p - f has no component there
+    when the blocks of f have equal sums.  The weighted and curved models
+    have no outcome-space form and stay n x n.
 
     Once its spare columns shrink, an over-parameterized factor converges
     slowly (Zhuo, Kwon, Ho & Caramanis, arXiv:2102.02756), so after an
@@ -360,17 +372,23 @@ def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
     slow = False
     for _ in range(_POLISH_ITERS):
         j = _factor_jacobian(stack, v, p, cap)
-        g = j.T @ w
-        h = j.T @ j if weights is None else (j * weights[:, None]).T @ j
-        if cap is not None or slow:
-            h += _factor_curvature(stack, v, w, cap)
+        curved = cap is not None or slow
+        # (J J^T + mu I) z = w, delta = -J^T z: see the docstring
+        outcome = weights is None and not curved and j.shape[0] < j.shape[1]
+        if outcome:
+            h = j @ j.T
+        else:
+            g = j.T @ w
+            h = j.T @ j if weights is None else (j * weights[:, None]).T @ j
+            if curved:
+                h += _factor_curvature(stack, v, w, cap)
         h_diag = h.diagonal().copy()
         accepted = False
         for attempt in range(_LM_RETRIES):
-            # damp h in place, with no second n x n array per retry
+            # damp h in place, with no second array per retry
             np.fill_diagonal(h, h_diag + mu)
             try:
-                delta = np.linalg.solve(h, -g)
+                delta = -(j.T @ np.linalg.solve(h, w)) if outcome else np.linalg.solve(h, -g)
             except np.linalg.LinAlgError:
                 mu *= 4.0
                 continue
@@ -747,8 +765,10 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
        solve, it stops once its Frank-Wolfe gap is at most ``_FW_GAP`` of
        its objective (:func:`_frank_wolfe_gap`).
     2. Otherwise the least-residual density matrix rho_inf (least squares
-       over density matrices, polished on the face Tr X = 1).  If even its
-       residual exceeds eps, no density matrix lies in the ball:
+       over density matrices, polished on the face Tr X = 1, stopped on its
+       Frank-Wolfe gap <r, p> - lambda_min(M^dagger[r]) like the likelihood
+       solves).  If even its residual exceeds eps, no density matrix lies in
+       the ball:
        :class:`InfeasibleError` of kind ``"density_residual_exceeds_radius"``.
     3. Otherwise the ball is active.  rho(mu) minimizes
        NLL + (mu / 2) ||M[rho] - f||^2, and the multiplier mu is bracketed
@@ -789,8 +809,10 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
     if _norm(r0) <= radius:
         return _finish(x0, d, nll(x0), _norm(r0), total, conv, hist)
 
-    x_inf, _, iters, _, _ = _solve(fit_grad, fit_value, density, x0, 1.0 / s2, cfg, False,
-                                   functools.partial(fit_polish, cap=1.0), _BALL_WARM_START)
+    x_inf, _, iters, _, _ = _solve(
+        fit_grad, fit_value, density, x0, 1.0 / s2, cfg, False,
+        functools.partial(fit_polish, cap=1.0), _BALL_WARM_START,
+        certificate=_certificate(_frank_wolfe_gap(a, _ls_fit(fv), d), _FW_GAP))
     total += iters
     r_inf = a @ x_inf - fv
     if _norm(r_inf) > radius:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brqst import (
     BasisSet,
@@ -260,6 +262,62 @@ def test_round_trip_both_families():
                 part2 = extract_goyeneche(bs, _goyeneche_probs(bs, rho.mat))
                 out2 = complete_rankr(part2, r, default_plan("goyeneche", d, r))
                 assert np.linalg.norm(out2.mat - rho.mat) < 1e-8
+
+
+def _complete_record(family, d, r, rho):
+    # complete_rankr on the noiseless record of rho by the family's probes
+    if family == "flammia":
+        povm = build_flammia_rankr(d, r)
+        part = extract_flammia(povm, apply_measurement_map(povm, HermitianMatrix(rho)))
+    else:
+        bs = build_goyeneche_bases(d, r)
+        part = extract_goyeneche(bs, _goyeneche_probs(bs, rho))
+    return complete_rankr(part, r, default_plan(family, d, r))
+
+
+_FAMILY_CELLS = st.tuples(st.sampled_from(["flammia", "goyeneche"]), st.sampled_from([4, 8]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=_FAMILY_CELLS, data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_completion_round_trip_generic_state(cell, data, seed):
+    # a random rank-r state lies outside every failure set: completion
+    # returns it, and never raises
+    family, d = cell
+    r = data.draw(st.integers(min_value=1, max_value=d // 2))
+    rho = random_rank_r_state(d, r, RandomStream(seed)).mat
+    assert np.linalg.norm(_complete_record(family, d, r, rho).mat - rho) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=_FAMILY_CELLS, data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_completion_is_exact_or_raises(cell, data, seed):
+    # the same states with some coordinates zeroed, which puts many of them
+    # in a failure set: completion either returns the state or raises, and
+    # never returns another matrix
+    family, d = cell
+    r = data.draw(st.integers(min_value=1, max_value=d // 2))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    assume(keep.any())
+    rho = random_rank_r_state(d, r, RandomStream(seed)).mat * np.outer(keep, keep)
+    rho /= np.trace(rho).real
+    try:
+        out = _complete_record(family, d, r, rho)
+    except FailureSetError:
+        return
+    assert np.linalg.norm(out.mat - rho) <= 1e-8
+
+
+def test_complete_flammia_raises_on_state_off_measured_rows():
+    # a state supported on the rows the probes do not reach: every measured
+    # entry is round-off, and so is the A block.  It is well conditioned
+    # against itself, and completion used to invert it and return a wrong
+    # matrix at Frobenius distance 0.95 (where the round-off is not exactly zero)
+    rho = random_rank_r_state(4, 2, RandomStream(78)).mat.copy()
+    rho[:2, :] = rho[:, :2] = 0.0
+    rho /= np.trace(rho).real
+    with pytest.raises(FailureSetError):
+        _complete_record("flammia", 4, 2, rho)
 
 
 # ---------------------------------------------------------------------------

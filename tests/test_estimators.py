@@ -180,19 +180,63 @@ def test_ls_polish_trims_spare_columns(monkeypatch):
     povm = bases_to_povm(build_random_bases(11, 7, RandomStream(216)))
     f = apply_measurement_map(povm, rho)
     stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, TIGHT))
-    solve = np.linalg.solve
-    sizes = []
+    solve, jacobian = np.linalg.solve, estimators._factor_jacobian
+    shapes, sizes = [], []
+
+    def recording_jacobian(*args, **kwargs):
+        j = jacobian(*args, **kwargs)
+        shapes.append(j.shape)
+        return j
 
     def recording(m, rhs):
-        sizes.append(len(rhs))
+        sizes.append((len(rhs), shapes[-1]))
         return solve(m, rhs)
 
+    monkeypatch.setattr(estimators, "_factor_jacobian", recording_jacobian)
     monkeypatch.setattr(np.linalg, "solve", recording)
     out = estimators._lm_residual_polish(stack, a, fv, x)
-    # each solve is the LM system of the real view of the d x r factor
-    assert sizes[0] == 2 * 11 * 7 and sizes[-1] == 2 * 11 * 2
+    # the Jacobian's columns are the real view of the d x r factor
+    assert shapes[0][1] == 2 * 11 * 7 and shapes[-1][1] == 2 * 11 * 2
+    # every step is Gauss-Newton, solved in the smaller of outcome and factor space
+    assert all(size == min(shape) for size, shape in sizes)
     assert np.linalg.norm(a @ out - fv) <= 1e-12
     assert len(sizes) <= 120
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=2, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       log_mu=st.floats(min_value=-12.0, max_value=0.0))
+def test_outcome_space_step_is_the_factor_space_step(data, d, seed, log_mu):
+    # push-through: -J^T (J J^T + mu I)^-1 w = -(J^T J + mu I)^-1 J^T w, the
+    # polish's Gauss-Newton step when J has fewer rows m = b d than columns
+    # n = 2 d r.  Each basis block of J sums to the gradient of Tr X / b, so
+    # J J^T is singular on b - 1 directions, along which w = M[X - rho] has
+    # no component.  b is kept where the rank of M, b (d - 1) + 1, is below
+    # the tangent dimension r (2 d - r) of the rank-r factor, so J has no
+    # other row dependence; at equality (b = d + 1 = r + 1, say) J's least
+    # singular value is small and both forms lose digits to it.  The right
+    # side is taken from the SVD of J: a solve with J^T J + mu I, singular on
+    # the r^2 gauge directions V -> V U, carries a round-off error of order
+    # 1e-16 / mu there
+    r = data.draw(st.integers(min_value=1, max_value=d))
+    b_max = min(2 * r - 1, (r * (2 * d - r) - 2) // (d - 1))
+    b = data.draw(st.integers(min_value=1, max_value=b_max))
+    povm = bases_to_povm(build_random_bases(d, b, RandomStream(seed)))
+    a = estimators._measurement_map(povm)
+    fv = apply_measurement_map(povm, random_rank_r_state(d, r, RandomStream(seed, 1))).values
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal((d, r)) + 1j * gen.standard_normal((d, r))
+    v /= np.linalg.norm(v)
+    p = a @ estimators._vec(v @ v.conj().T)
+    j = estimators._factor_jacobian(povm.stack, v, p)
+    w, mu = p - fv, 10.0 ** log_mu
+    m, n = j.shape
+    assert m < n
+    outcome = -(j.T @ np.linalg.solve(j @ j.T + mu * np.eye(m), w))
+    u, s, vt = np.linalg.svd(j, full_matrices=False)
+    factor = -(vt.T @ (s / (s * s + mu) * (u.T @ w)))
+    assert np.linalg.norm(outcome - factor) <= 1e-10 * np.linalg.norm(factor)
 
 
 def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
@@ -619,6 +663,32 @@ def test_mle_active_ball_duality_gap(seed, state, b):
     assert abs(np.trace(rho).real - 1.0) <= 1e-9
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
     assert _mle_duality_gap(povm, f, eps, rho) <= 1e-8
+
+
+def test_mle_density_residual_solve_stops_on_certificate(monkeypatch):
+    # the active-ball record (12, 11, 5): the least-residual density solve
+    # (rho_inf, the second solve) stops after its warm start and first polish
+    # on its Frank-Wolfe gap <r, p> - lambda_min(M^dagger[r]); without that
+    # certificate it ran a 10-iteration chunk and a polish more, for the same
+    # final NLL
+    povm, f, eps = _fig2_sweep_record(12, 11, 5)
+    solve = estimators._solve
+    solves = []
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(estimators, "_solve", recording)
+    estimate_mle(povm, f, eps, SWEEP_CFG)
+    x_inf, half_r2, iters, converged, _ = solves[1]
+    a = estimators._measurement_map(povm)
+    gap, value = estimators._frank_wolfe_gap(a, estimators._ls_fit(f.values), povm.dim)(x_inf)
+    assert converged
+    assert iters == estimators._BALL_WARM_START
+    assert value == pytest.approx(half_r2, rel=1e-14)
+    assert gap <= estimators._FW_GAP * value
 
 
 def test_mle_inactive_ball_reaches_optimum():
