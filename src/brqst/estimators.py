@@ -1,12 +1,14 @@
 """PSD-constrained convex state estimation.
 
-Three programs on one accelerated projected-gradient core: constrained least
-squares, trace minimization inside a residual ball, and trace-one maximum
-likelihood inside a residual ball.  Trace minimization is a root find on the
-Pareto curve phi(tau) = min ||M[X] - f|| over {X >= 0, Tr X <= tau}: Newton
-steps on tau solve phi(tau) = eps, each phi(tau) being the least-squares
-program with a trace cap (van den Berg & Friedlander, SIAM J. Sci. Comput.
-31, 890 (2008)).  Each capped program is solved only until its duality gap,
+Three programs on one accelerated projected-gradient core (monotone FISTA
+with backtracking; the momentum restarts when the projected step from the
+extrapolated point y to z opposes the last step, (y - z) . (z - x) > 0):
+constrained least squares, trace minimization inside a residual ball, and
+trace-one maximum likelihood inside a residual ball.  Trace minimization is
+a root find on the Pareto curve phi(tau) = min ||M[X] - f|| over
+{X >= 0, Tr X <= tau}: Newton steps on tau solve phi(tau) = eps, each
+phi(tau) being the least-squares program with a trace cap (van den Berg &
+Friedlander, SIAM J. Sci. Comput. 31, 890 (2008)).  Each capped program is solved only until its duality gap,
 read off the same eigendecomposition the Newton step needs, is small
 against phi - eps, and the step is taken from the dual lower bound, so the
 caps approach the optimal trace from below.  Maximum likelihood first
@@ -38,7 +40,9 @@ Off the face the model is a hybrid (Fletcher & Xu, IMA J. Numer. Anal. 7,
 371 (1987)): it starts on Gauss-Newton, exact where the fit reaches zero, and
 adds the term after an accepted step that lowered the objective by less than
 ``_LM_SLOW`` relative (the term at every step cost 26% more iterations on 115
-noiseless polish inputs of the strictness sweep).  On a noiseless record
+noiseless polish inputs of the strictness sweep).  A record of ideal
+probabilities has a zero-residual optimum, and its least-squares polish stays
+on Gauss-Newton throughout.  On a noiseless record
 that fixes the state the least-squares polish sheds its spare columns and
 typically ends on the state's rank at round-off; on noisy records it stops
 where the fit stalls.  A Gauss-Newton step of least squares on a factor with
@@ -67,7 +71,7 @@ import numpy as np
 
 from .errors import DegenerateEstimateError, InfeasibleError
 from .linalg import HermitianMatrix, _mat, _project_density, _project_psd, _vec, hermitianize
-from .povm import MeasurementVector, Povm
+from .povm import MeasurementKind, MeasurementVector, Povm
 
 
 @dataclass(frozen=True)
@@ -103,20 +107,6 @@ _STOP_EVERY = 10
 # backtracking factor of the step size, and its growth after a step that needed none
 _SHRINK = 0.5
 _GROWTH = 1.1
-
-
-def _operator_norm_sq(s: np.ndarray, iters: int = 40) -> float:
-    """Squared spectral norm of S by power iteration on S^T S (deterministic start)."""
-    n = s.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = 1.0
-    for _ in range(iters):
-        w = s.T @ (s @ v)
-        lam = np.linalg.norm(w)
-        if lam <= 0:
-            return 1.0
-        v = w / lam
-    return float(lam) * 1.05
 
 
 def _measurement_map(povm: Povm) -> np.ndarray:
@@ -159,12 +149,15 @@ def _factor_curvature(stack: np.ndarray, v: np.ndarray, w: np.ndarray,
     :func:`_factor_jacobian` does.
     """
     g = np.tensordot(w, stack, 1)
-    k = np.kron(g, np.eye(v.shape[1]))
-    n = k.shape[0]
-    h = np.empty((2 * n, 2 * n))
-    h[0::2, 0::2] = h[1::2, 1::2] = k.real
-    h[0::2, 1::2] = -k.imag
-    h[1::2, 0::2] = k.imag
+    d, r = v.shape
+    n = d * r
+    # R(G (x) I_r) written block by block: row (i, a, Re/Im), column (j, a, Re/Im)
+    h = np.zeros((2 * n, 2 * n))
+    blocks = h.reshape(d, r, 2, d, r, 2)
+    diag = np.arange(r)
+    blocks[:, diag, 0, :, diag, 0] = blocks[:, diag, 1, :, diag, 1] = g.real
+    blocks[:, diag, 0, :, diag, 1] = -g.imag
+    blocks[:, diag, 1, :, diag, 0] = g.imag
     if cap is None:
         return 2.0 * h
     x = v.reshape(-1).view(np.float64)
@@ -311,7 +304,7 @@ def _certificate(gap, tolerance: float) -> Callable[[np.ndarray], bool] | None:
 
 def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
                    cap: float | None, cut: float, spare: int,
-                   damping: float) -> np.ndarray | None:
+                   damping: float, hybrid: bool = True) -> np.ndarray | None:
     """Damped Newton steps for fit(M[X]) on a low-rank spectral factor of the iterate.
 
     Projected gradient crawls when the optimum sits on a degenerate face of
@@ -322,10 +315,11 @@ def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
     that the iterate's trace meets, the polish runs on the face Tr X = cap,
     on X = cap V V^dagger / ||V||_F^2 (Burer & Monteiro, Math. Program. 95,
     329 (2003)), so the refined matrix stays inside {X >= 0, Tr X <= cap}.
-    The model is J^T diag(weights) J plus, on the face or after an accepted
-    step that lowered the objective by less than ``_LM_SLOW`` relative, the
-    curvature weighted by w (:func:`_factor_curvature`; see the module
-    docstring), and its Levenberg-Marquardt damping starts at ``damping``.
+    The model is J^T diag(weights) J plus, on the face or, when ``hybrid``,
+    after an accepted step that lowered the objective by less than
+    ``_LM_SLOW`` relative, the curvature weighted by w
+    (:func:`_factor_curvature`; see the module docstring), and its
+    Levenberg-Marquardt damping starts at ``damping``.
     A Gauss-Newton step of least squares (unit weights, no curvature) whose
     Jacobian J has fewer rows m than columns n is solved in outcome space,
     (J J^T + mu I) z = w and delta = -J^T z: by the push-through identity the
@@ -406,7 +400,7 @@ def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
         # a decrease at round-off always
         drop, scale = obj - new[0], abs(obj)
         stalled = drop < _LM_FLAT * scale or (drop < _LM_STALL * scale and attempt > 0)
-        slow = drop < _LM_SLOW * scale
+        slow = hybrid and drop < _LM_SLOW * scale
         v, (obj, w, weights, xx, p) = v_new, new
         if obj < best_obj:
             best_x, best_obj = xx, obj
@@ -424,13 +418,18 @@ def _factor_polish(stack: np.ndarray, a: np.ndarray, x: np.ndarray, fit: _Fit,
 
 
 def _lm_residual_polish(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
-                        x: np.ndarray, cap: float | None = None) -> np.ndarray | None:
+                        x: np.ndarray, cap: float | None = None,
+                        kind: MeasurementKind = "empirical_frequencies") -> np.ndarray | None:
     """The factor polish of 0.5 ||M[X] - f||^2, on the face Tr X = ``cap`` if the iterate meets it.
 
     The factor starts one column above the iterate's numerical rank at 1e-3,
-    and the damping at 1e-3.
+    and the damping at 1e-3.  Off the face, a record of ``kind``
+    ``"ideal_probabilities"`` keeps Gauss-Newton steps throughout: its
+    optimum fits the data exactly, where the curvature term vanishes, and a
+    slow fall there comes from a degenerate factor, not from the residual.
     """
-    return _factor_polish(stack, a, x, _ls_fit(fv), cap, 1e-3, 1, 1e-3)
+    return _factor_polish(stack, a, x, _ls_fit(fv), cap, 1e-3, 1, 1e-3,
+                          hybrid=kind != "ideal_probabilities")
 
 
 def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
@@ -486,9 +485,16 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     ``warm_start`` iterations, then chunks ``_CHUNK`` long.  Each
     chunk restarts the momentum, the step size ``step0`` and the convergence
     streak from the incumbent, projected (the first chunk projects ``x0``,
-    once).  Within a chunk the objective sequence is non-increasing: a
-    candidate that does not improve on the incumbent is rejected (the
-    incumbent is kept) and the momentum restarts.
+    once).  Each iteration takes the projected gradient step
+    z = P(y - t grad f(y)) from the extrapolated point y, backtracking t
+    (Beck & Teboulle, SIAM J. Imaging Sci. 2, 183 (2009)).  Within a chunk
+    the objective sequence is non-increasing: a candidate that does not
+    improve on the incumbent x is rejected (the incumbent is kept) and the
+    momentum restarts.  An accepted z restarts the momentum, y = z, when the
+    gradient-mapping test (y - z) . (z - x) > 0 fires at the y the step was
+    taken from, i.e. when the step opposes the direction just travelled
+    (O'Donoghue & Candes, Found. Comput. Math. 15, 715 (2015)); otherwise
+    the next point is y = z + ((theta_k - 1) / theta_k+1) (z - x).
     A chunk converges after ``_CONSECUTIVE_OK`` consecutive iterations whose
     relative objective change falls below ``cfg.relative_tolerance``.
 
@@ -543,10 +549,12 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
             if f_z <= f_x:
                 x_next, f_next = z, f_z
-                y = z + ((theta - 1.0) / theta_next) * (z - x)
+                # restart where the gradient step from y opposes the step z - x
                 if (y - z) @ (z - x) > 0:
                     y = z.copy()
                     theta_next = 1.0
+                else:
+                    y = z + ((theta - 1.0) / theta_next) * (z - x)
             else:
                 x_next, f_next = x, f_x
                 y = x.copy()
@@ -601,13 +609,13 @@ def _finish(x: np.ndarray, d: int, objective: float, residual: float,
                           converged, history)
 
 
-def _data_fit(povm: Povm, fv: np.ndarray):
+def _data_fit(povm: Povm, f: MeasurementVector):
     """Value, value-and-gradient and LM polish of 0.5 ||A x - f||^2."""
     a = _measurement_map(povm)
-    value, value_grad = _objective(a, _ls_fit(fv))
+    value, value_grad = _objective(a, _ls_fit(f.values))
 
     def polish(x: np.ndarray, cap: float | None = None) -> np.ndarray | None:
-        return _lm_residual_polish(povm.stack, a, fv, x, cap=cap)
+        return _lm_residual_polish(povm.stack, a, f.values, x, cap=cap, kind=f.kind)
 
     return a, value, value_grad, polish
 
@@ -624,10 +632,9 @@ def estimate_ls(povm: Povm, f: MeasurementVector,
     """
     _check_lengths(povm, f)
     d = povm.dim
-    a, value, value_grad, polish = _data_fit(povm, f.values)
-    # ||A|| = ||S||; the power iteration runs in the d^2 Hermitian coordinates
-    # of S, where its constant start vector is a Hermitian matrix
-    lip = _operator_norm_sq(povm.coefficient_matrix)
+    a, value, value_grad, polish = _data_fit(povm, f)
+    # ||A|| = ||S||, the map in the d^2 Hermitian coordinates
+    lip = povm.norm_sq_bound
     x, f_x, iters, conv, hist = _solve(
         value_grad, value, _project_psd(d), np.zeros(2 * d * d), 1.0 / lip, cfg,
         keep_history, polish, _WARM_START,
@@ -681,10 +688,10 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
     _check_lengths(povm, f)
     d = povm.dim
     fv = f.values
-    a, value, value_grad, polish = _data_fit(povm, fv)
+    a, value, value_grad, polish = _data_fit(povm, f)
     # Re X_ii sits at 2 i (d + 1) in the real view of X
     diag = slice(None, None, 2 * (d + 1))
-    step0 = 1.0 / _operator_norm_sq(povm.coefficient_matrix)
+    step0 = 1.0 / povm.norm_sq_bound
     radius = eps + _BALL_SLACK
 
     last = None, None, None
@@ -789,8 +796,8 @@ def estimate_mle(povm: Povm, f: MeasurementVector, eps: float,
     _check_lengths(povm, f)
     d = povm.dim
     fv = f.values
-    a, fit_value, fit_grad, fit_polish = _data_fit(povm, fv)
-    s2 = _operator_norm_sq(povm.coefficient_matrix)
+    a, fit_value, fit_grad, fit_polish = _data_fit(povm, f)
+    s2 = povm.norm_sq_bound
     lip = s2 * max(1.0, 1.0 / max(fv.max(), _LOG_CLAMP))
     density = _project_density(d)
     nll, _ = _likelihood(a, fv, 0.0)

@@ -8,6 +8,7 @@ measurement map over the real space of Hermitian matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
@@ -94,6 +95,26 @@ class Povm:
         s = hvec_stack(self.stack)
         s.setflags(write=False)
         return s
+
+    @cached_property
+    def norm_sq_bound(self) -> float:
+        """||S||^2 of the coefficient matrix S, from 40 power iterations on S^T S, plus 5%.
+
+        Its reciprocal is the first step size of the estimators' gradient
+        core.  The constant start vector is a Hermitian matrix in the
+        coordinates of S.  Computed once per POVM.
+        """
+        s = self.coefficient_matrix
+        n = s.shape[1]
+        v = np.full(n, 1.0 / math.sqrt(n))
+        lam = 1.0
+        for _ in range(40):
+            w = s.T @ (s @ v)
+            lam = np.linalg.norm(w)
+            if lam <= 0:
+                return 1.0
+            v = w / lam
+        return float(lam) * 1.05
 
     def basis_grouping(self) -> list[tuple[int, int]]:
         """Element index ranges that each form one orthonormal basis (may be empty)."""

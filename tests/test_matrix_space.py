@@ -221,6 +221,29 @@ def test_factor_curvature_matches_central_difference(d, seed, rank, cap):
 
 
 @SETTINGS
+@given(d=st.integers(min_value=1, max_value=8), seed=seeds,
+       rank=st.integers(min_value=1, max_value=8))
+def test_factor_curvature_block_writes_match_kron_form(d, seed, rank):
+    # 2 R(G (x) I_r), written block by block, against its definition through
+    # np.kron and the interleaved real view: equal bit for bit, except that a
+    # zero entry may carry the other sign.  The capped form adds its terms to
+    # the same matrix
+    gen = np.random.default_rng(seed)
+    povm = _povm(d, seed)
+    v = gen.standard_normal((d, rank)) + 1j * gen.standard_normal((d, rank))
+    w = gen.standard_normal(len(povm))
+    k = np.kron(np.tensordot(w, povm.stack, 1), np.eye(rank))
+    n = k.shape[0]
+    h = np.empty((2 * n, 2 * n))
+    h[0::2, 0::2] = h[1::2, 1::2] = k.real
+    h[0::2, 1::2] = -k.imag
+    h[1::2, 0::2] = k.imag
+    got, expected = _factor_curvature(povm.stack, v, w), 2.0 * h
+    same_bits = got.view(np.uint64) == expected.view(np.uint64)
+    assert (same_bits | ((got == 0) & (expected == 0))).all()
+
+
+@SETTINGS
 @given(d=dims, seed=seeds, rank=st.integers(min_value=1, max_value=3), cap=scales)
 def test_capped_polish_stays_on_face(d, seed, rank, cap):
     # an iterate on the cap is refined to a PSD matrix of trace exactly cap

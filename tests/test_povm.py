@@ -79,6 +79,16 @@ def test_map_linearity_and_sum_rule():
         assert measurement_values(povm, x).sum() == pytest.approx(np.trace(x).real, abs=1e-10)
 
 
+def test_norm_sq_bound_is_cached_and_tight():
+    # the estimators' step size: ||S||^2 from power iteration, padded by 5%,
+    # computed once per POVM
+    for povm in (build_flammia_rankr(8, 2), bases_to_povm(build_random_bases(11, 7, RandomStream(216)))):
+        top = np.linalg.svd(povm.coefficient_matrix, compute_uv=False)[0] ** 2
+        bound = povm.norm_sq_bound
+        assert top <= bound <= 1.05 * top * (1 + 1e-12)
+        assert povm.norm_sq_bound is bound
+
+
 def test_measurement_vector_invariants():
     with pytest.raises(ValueError):
         MeasurementVector(np.array([0.5, -1e-6]), kind="ideal_probabilities")
