@@ -18,8 +18,10 @@ ball nonempty, with the least-residual density matrix, and then root-find
 the ball's Lagrange multiplier until the Lagrangian duality gap closes.
 
 Every solve polishes the iterate on a low-rank factor X = V V^dagger: first
-after a warm start of accelerated iterations, 100 for least squares and 20
-for trace minimization and the likelihood, then after every 500.  After a
+after a warm start of accelerated iterations, 100 for least squares on ideal
+probabilities and 20 for least squares on noisy records, the first trace cap
+and the likelihood, then after every 500.  Each later trace cap starts from
+the last point rescaled onto it and polishes before any iteration.  After a
 polish a solve also stops on a certificate of optimality where its program
 has a cheap one: least squares on its duality gap when the POVM elements
 sum to a multiple of I, the likelihood and the least-residual density
@@ -444,13 +446,14 @@ def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
 
 
 _CHUNK = 500
-# FISTA iterations before the first least-squares polish: on noiseless records
-# the polish reaches round-off from here, and later chunks are _CHUNK long.  A
-# warm start of 30 moved 1192 of the 1896 Table-1 infidelities of seeds 181 and
-# 182 and flipped 2 recovery verdicts, as the records that do not fix the state
-# follow the solve's path
+# FISTA iterations before the first least-squares polish of a record of ideal
+# probabilities: on noiseless records the polish reaches round-off from here,
+# and later chunks are _CHUNK long.  A warm start of 30 moved 1192 of the 1896
+# Table-1 infidelities of seeds 181 and 182 and flipped 2 recovery verdicts, as
+# the records that do not fix the state follow the solve's path
 _WARM_START = 100
-# FISTA iterations before the first polish of trace minimization and of every
+# FISTA iterations before the first polish of least squares on a noisy record
+# (stopped on its duality gap), of trace minimization's first cap and of every
 # likelihood solve, whose polish on the trace face does the work.  From a warm
 # start of 10 or 30 the plain MLE of the Fig-2 record (11, 10, 5) ends 1.4e-12
 # or 1.2e-12 relative above its lower bound, and from 50 an active-ball MLE
@@ -482,7 +485,8 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     """Monotone FISTA with backtracking and gradient restart, interleaved with a polish.
 
     Runs at most ``cfg.max_iterations`` iterations in chunks: a warm start of
-    ``warm_start`` iterations, then chunks ``_CHUNK`` long.  Each
+    ``warm_start`` iterations (0 polishes the start first), then chunks
+    ``_CHUNK`` long.  Each
     chunk restarts the momentum, the step size ``step0`` and the convergence
     streak from the incumbent, projected (the first chunk projects ``x0``,
     once).  Each iteration takes the projected gradient step
@@ -524,14 +528,16 @@ def _solve(value_grad, value, project, x0, step0, cfg: SolverConfig,
     history = [] if keep_history else None
     total = 0
     converged = False
+    first = True
     while not converged and total < cfg.max_iterations:
-        budget = min(warm_start if total == 0 else _CHUNK, cfg.max_iterations - total)
+        budget = min(warm_start if first else _CHUNK, cfg.max_iterations - total)
         x = project(x)
         f_x = value(x)
-        if history is not None and total == 0:
+        if history is not None and first:
             history.append(f_x)
+        first = False
         y = x.copy()
-        theta, t, streak = 1.0, step0, 0
+        theta, t, streak, it = 1.0, step0, 0, 0
         for it in range(1, budget + 1):
             f_y, g_y = value_grad(y)
             shrunk = False
@@ -628,16 +634,20 @@ def estimate_ls(povm: Povm, f: MeasurementVector,
     The solve also stops once its duality gap is at most ``_LS_GAP`` of
     0.5 ||M[X] - f||^2, when the POVM elements sum to a multiple of I
     (:func:`_ls_gap`); on a noiseless record the gap is never that small
-    before the fit reaches round-off.
+    before the fit reaches round-off.  The first polish comes after
+    ``_WARM_START`` iterations on a record of ideal probabilities, where the
+    records that do not fix the state follow the solve's path, and after
+    ``_BALL_WARM_START`` on any other, whose answer the gap certifies.
     """
     _check_lengths(povm, f)
     d = povm.dim
     a, value, value_grad, polish = _data_fit(povm, f)
     # ||A|| = ||S||, the map in the d^2 Hermitian coordinates
     lip = povm.norm_sq_bound
+    warm_start = _WARM_START if f.kind == "ideal_probabilities" else _BALL_WARM_START
     x, f_x, iters, conv, hist = _solve(
         value_grad, value, _project_psd(d), np.zeros(2 * d * d), 1.0 / lip, cfg,
-        keep_history, polish, _WARM_START,
+        keep_history, polish, warm_start,
         certificate=_certificate(_ls_gap(povm, a, f.values), _LS_GAP),
     )
     residual = math.sqrt(2.0 * max(f_x, 0.0))
@@ -651,9 +661,13 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
 
     Solves phi(tau) = eps on the Pareto curve phi(tau) = min ||M[X] - f||
     over {X >= 0, Tr X <= tau}.  phi is convex and decreasing.  Each phi(tau)
-    is the least-squares program with a trace cap, warm-started from the
-    previous point, whose polish runs on the face Tr X = tau whenever the
-    iterate meets the cap.
+    is the least-squares program with a trace cap, whose polish runs on the
+    face Tr X = tau whenever the iterate meets the cap.  The first cap's solve
+    polishes after ``_BALL_WARM_START`` iterations.  A new cap tau' > tau only
+    rescales the last face, so each later solve starts from the last point
+    scaled to trace tau' and polishes it before any iteration; accelerated
+    iterations follow only while the stop test below fails (van den Berg &
+    Friedlander warm-start each root-finding subproblem the same way).
 
     The capped programs are solved only as far as the Newton step needs.  At
     an iterate X with r = M[X] - f, phi~ = ||r|| and
@@ -734,15 +748,19 @@ def estimate_trace_min(povm: Povm, f: MeasurementVector, eps: float,
         if phi <= radius:
             break
         closed = gap_closed(phi, theta, lower)
-        if theta <= 0.0 or (not closed and float(x[diag].sum()) < tau * (1.0 - 1e-9)):
+        tr = float(x[diag].sum())
+        if theta <= 0.0 or (not closed and tr < tau * (1.0 - 1e-9)):
             raise InfeasibleError(
                 f"least residual {phi:.6e} over X >= 0 exceeds the ball radius {eps:.6e}",
                 kind="ls_residual_exceeds_radius",
             )
         tau += ((lower if closed else phi) - eps) * phi / theta
+        if tr > 0.0:
+            # the new cap only rescales the last face: polish there first
+            x = x * (tau / tr)
         x, _, iters, conv, _ = _solve(
             value_grad, value, _project_psd(d, tau), x, step0, cfg, False,
-            functools.partial(polish, cap=tau), _BALL_WARM_START,
+            functools.partial(polish, cap=tau), _BALL_WARM_START if tr <= 0.0 else 0,
             functools.partial(settled, tau=tau))
         total += iters
         phi, theta, lower = pareto_point(x, tau)

@@ -190,6 +190,40 @@ def test_solve_accelerates_on_ill_conditioned_quadratic():
     assert f_x < 1e-12
 
 
+def test_solve_without_warm_start_polishes_first():
+    # a warm start of 0 polishes the starting point before any core
+    # iteration.  On 0.5 ||x - c||^2 a polish that returns c ends the solve
+    # there, after 0 iterations; a polish that finds nothing hands over to a
+    # full chunk.  Either way the history records the starting objective
+    # once.  Telling the first chunk by its iteration count instead looped
+    # on empty chunks, so the polish calls are capped here
+    c = np.linspace(-1.0, 1.0, 12)
+    x0 = np.zeros(12)
+    cfg = SolverConfig(max_iterations=1_000, relative_tolerance=1e-12)
+
+    def value(x):
+        return 0.5 * float((x - c) @ (x - c))
+
+    def solve(result):
+        calls = []
+
+        def polish(x):
+            calls.append(1)
+            assert len(calls) <= 3, "the solve keeps polishing without iterating"
+            return result
+
+        return estimators._solve(lambda x: (value(x), x - c), value, lambda x: x, x0, 1.0,
+                                 cfg, True, polish, 0)
+
+    x, f_x, iters, converged, hist = solve(c.copy())
+    assert converged and iters == 0 and f_x == 0.0
+    assert np.array_equal(x, c)
+    assert list(hist) == [value(x0), 0.0]
+    x, f_x, iters, converged, hist = solve(None)
+    assert converged and iters > 0 and f_x < estimators._ROUND_OFF
+    assert list(hist).count(value(x0)) == 1 and len(hist) == iters + 1
+
+
 def test_ls_polish_trims_spare_columns(monkeypatch):
     # the record above: the warm start has five eigenvalues above 1e-3 of the
     # largest, so the factor starts at rank 6.  The polish drops the spare
@@ -262,7 +296,7 @@ def test_outcome_space_step_is_the_factor_space_step(data, d, seed, log_mu):
 
 def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
     # a noisy Fig-2 record: the fit stalls at the noise floor, and the polish
-    # stops there instead of running to its 150-iteration cap (11 iterations
+    # stops there instead of running to its 150-iteration cap (16 iterations
     # here; 114 with the Gauss-Newton model alone), returning a point no worse
     # than the iterate it was given
     povm, f, _ = _fig2_sweep_record(777, 1, 5)
@@ -275,7 +309,7 @@ def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
 
 def test_ls_noisy_record_solves(monkeypatch):
     # LS on a noisy Fig-2 record: once the fit stops falling fast, the LM
-    # polish adds the residual's curvature and converges in 22 LM solves; the
+    # polish adds the residual's curvature and converges in 32 LM solves; the
     # Gauss-Newton model alone converged linearly and took 409, for a fit no
     # better than this one
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
@@ -294,7 +328,7 @@ def test_ls_noisy_record_solves(monkeypatch):
 
 def test_ls_polish_takes_newton_steps_only_when_slow(monkeypatch):
     # the first LS polish of the noisy record above switches to Newton steps
-    # where its fit falls slowly and ends in 19 Jacobians (Gauss-Newton alone
+    # where its fit falls slowly and ends in 23 Jacobians (Gauss-Newton alone
     # ran its 150-iteration cap); the noiseless Table-1 record's polish stays
     # Gauss-Newton throughout, as its kind says the optimum fits exactly
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
@@ -310,12 +344,14 @@ def test_ls_polish_takes_newton_steps_only_when_slow(monkeypatch):
 
 
 def test_ls_polish_stops_on_flat_step(monkeypatch):
-    # the first LS polish of the noisy record above ends on an accepted step
-    # that lowers its fit by less than _LM_FLAT relative, at the first try, so
-    # the stall test, which needs a rejected smaller damping, does not fire.
-    # Without that stop the polish takes one more Jacobian (20 against 19) for
-    # a fit 3e-16 relative lower
+    # the LS polish of the noisy record above, from its iterate after 100 FISTA
+    # iterations, ends on an accepted step that lowers its fit by less than
+    # _LM_FLAT relative, at the first try, so the stall test, which needs a
+    # rejected smaller damping, does not fire.  Without that stop the polish
+    # takes one more Jacobian (20 against 19) for a fit 3e-16 relative lower.
+    # (From the 20-iteration warm start the record now gets, both take 23.)
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    monkeypatch.setattr(estimators, "_BALL_WARM_START", estimators._WARM_START)
     stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
     out, steps, _ = _polish_steps(monkeypatch, stack, a, fv, x)
     monkeypatch.setattr(estimators, "_LM_FLAT", 0.0)
@@ -345,8 +381,8 @@ def test_ls_gap_bounds_excess_over_ls_fit(d, b, rank, seed):
 
 def test_ls_certificate_stops_noisy_record():
     # the noisy Fig-2 record: the first polish ends at the optimum, where the
-    # gap reads 2.2e-12 of the objective, and the solve stops on it after the
-    # warm start; without the certificate it ran a 10-iteration chunk and a
+    # gap reads 8.2e-13 of the objective, and the solve stops on it after the
+    # 20-iteration warm start; without the certificate it ran a chunk and a
     # polish more
     povm, f, _ = _fig2_sweep_record(777, 2, 5)
     report = estimate_ls(povm, f, SWEEP_CFG)
@@ -446,6 +482,25 @@ def test_trace_min_kkt_certificate(record):
         assert tr_x <= np.trace(ls.raw.mat).real * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("seed,state,b", [(777, 5, 5), (4242, 6, 5), (777, 4, 9)])
+def test_trace_min_lands_on_certified_optimum(seed, state, b):
+    # weak duality at y = -r / theta, r = M[X] - f and
+    # theta = lambda_max(-M^dagger[r]), bounds the least trace in the ball of
+    # radius eps + 1e-9 from below by (-<r, f> - (eps + 1e-9) ||r||) / theta.
+    # The answer's trace sits within 1e-8 relative of that bound here (2.1e-7
+    # at most over the 40 recorded programs).  With 20 FISTA iterations
+    # restarted after each Newton step the answer sat up to 5.2e-6 above it
+    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    report = estimate_trace_min(povm, f, eps, SWEEP_CFG)
+    x = report.raw.mat
+    r = np.einsum("mij,ji->m", povm.stack, x).real - f.values
+    theta = np.linalg.eigvalsh(-np.einsum("m,mij->ij", r, povm.stack))[-1]
+    lower = (-float(r @ f.values) - (eps + 1e-9) * np.linalg.norm(r)) / theta
+    tr_x = np.trace(x).real
+    assert report.converged
+    assert 0.0 <= (tr_x - lower) / tr_x <= 1e-6
+
+
 @pytest.mark.parametrize("record", [
     _goyeneche_fig2_record,
     pytest.param(lambda: _fig2_sweep_record(777, 0, 9), id="sweep-777-state0-b9"),
@@ -522,9 +577,9 @@ def test_trace_min_noiseless_goyeneche_reaches_slack():
 
 def test_trace_min_polish_solves(monkeypatch):
     # one trace-min call on a noisy Fig-2 record: its polishes on the face
-    # Tr X = tau are Newton steps and take 33 LM solves (23 after 100-iteration
-    # warm starts, which cost 181 more eigendecompositions); with the
-    # Gauss-Newton model alone they took 212
+    # Tr X = tau are Newton steps and take 48 LM solves (33 after a
+    # 20-iteration warm start at every cap, which cost 73 more
+    # eigendecompositions); with the Gauss-Newton model alone they took 212
     povm, f, eps = _fig2_sweep_record(777, 2, 5)
     solve = np.linalg.solve
     calls = []
@@ -542,8 +597,9 @@ def test_trace_min_polish_solves(monkeypatch):
 def test_ball_programs_polish_after_short_warm_start():
     # the noisy Fig-2 record: trace minimization and the likelihood polish
     # after 20 FISTA iterations, and the plain MLE then stops on its
-    # Frank-Wolfe gap; with a warm start of 100 and no certificate they took
-    # 230 and 110 iterations
+    # Frank-Wolfe gap; trace minimization then polishes each new cap before
+    # any iteration and takes 10 in all.  With a warm start of 100 and no
+    # certificate they took 230 and 110 iterations
     povm, f, eps = _fig2_sweep_record(777, 2, 5)
     trace = estimate_trace_min(povm, f, eps, SWEEP_CFG)
     mle = estimate_mle(povm, f, eps, SWEEP_CFG)
