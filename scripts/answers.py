@@ -2,20 +2,21 @@
 
 Usage, from anywhere:
 
-    python3 scripts/answers.py --parent PATH --change PATH [--only fig2|table1] [--out FILE]
+    python3 scripts/answers.py --parent PATH --change PATH [--out FILE]
 
 PATH is the root of a checkout (the directory holding ``src/brqst``).  Each
 checkout runs in its own child process, with ``PYTHONPATH`` set to its
 ``src`` and one BLAS thread, on two fixed sets of records:
 
-* **fig2**: the 40 noisy d = 8 Goyeneche records of
-  ``tests/test_estimators.py::_fig2_sweep_record`` (seeds 777 and 4242,
-  states 0-9, b = 5 and 9), each estimated by least squares, trace
+* **fig2**: 40 noisy d = 8 Goyeneche records drawn by :func:`fig2_record`,
+  which ``tests/test_estimators.py`` draws its Fig-2 records with (seeds 777
+  and 4242, states 0-9, b = 5 and 9), each estimated by least squares, trace
   minimisation and maximum likelihood with
   ``SolverConfig(max_iterations=20000, relative_tolerance=1e-10)``;
 * **table1**: the 70 Table-1 cells (d = 11, rank 2, Haar bases, 4 states)
   that the benchmark draws for its seeds 181 (rounds 0-9) and 182 (rounds
-  0-59), run through ``experiments.run_strictness_sweep``.
+  0-59), with the configuration and seeds of ``perfbench/workloads.py``, run
+  through ``experiments.run_strictness_sweep``.
 
 Per call it records the objective (least squares 0.5 ||r||^2, trace
 minimisation Tr X, maximum likelihood the NLL), the residual norm and its
@@ -40,19 +41,13 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 FIG2_SEEDS = (777, 4242)
 FIG2_STATES = range(10)
 FIG2_BASES = (5, 9)
 # (benchmark seed, rounds) of the Table-1 cells
 TABLE1_ROUNDS = ((181, 10), (182, 60))
-TABLE1_CONFIG = {"dims": [11], "ranks": [2], "family": "haar_global",
-                 "states_per_dim": 4, "threshold": 1e-5, "max_bases": 11}
 ESTIMATORS = ("ls", "trace", "mle")
-
-
-def round_seed(tag: int, seed: int, i: int) -> int:
-    """The program seed of round i of a benchmark workload (``perfbench/workloads.py``)."""
-    return int(np.random.SeedSequence([tag, seed, i]).generate_state(1)[0])
 
 
 class Counter:
@@ -130,6 +125,9 @@ def collect_fig2() -> list[dict]:
 def collect_table1() -> list[dict]:
     from brqst import RandomStream, experiments
 
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import TABLE1_CONFIG, Table1, round_seed
+
     counter = Counter()
     cells = []
     for seed, rounds in TABLE1_ROUNDS:
@@ -137,7 +135,7 @@ def collect_table1() -> list[dict]:
             counter.take()
             c0 = time.process_time()
             (res,) = experiments.run_strictness_sweep(
-                **TABLE1_CONFIG, rng=RandomStream(round_seed(1, seed, i)), threads=1)
+                **TABLE1_CONFIG, rng=RandomStream(round_seed(Table1.tag, seed, i)), threads=1)
             cells.append({"cell": [seed, i], "minimal": res.minimal_sufficient,
                           "threshold": res.threshold,
                           "ls_calls": res.states * len(res.basis_counts),
@@ -242,7 +240,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
-    ap.add_argument("--only", choices=("fig2", "table1"))
     ap.add_argument("--out", type=Path)
     ap.add_argument("--collect", choices=("fig2", "table1"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -252,11 +249,9 @@ def main(argv=None) -> int:
     if args.parent is None or args.change is None:
         ap.error("--parent and --change are required")
     result = {}
-    compare = {"fig2": compare_fig2, "table1": compare_table1}
-    for which in ("fig2", "table1"):
-        if args.only in (None, which):
-            result[which] = compare[which](run_checkout(args.parent.resolve(), which),
-                                           run_checkout(args.change.resolve(), which))
+    for which, compare in (("fig2", compare_fig2), ("table1", compare_table1)):
+        result[which] = compare(run_checkout(args.parent.resolve(), which),
+                                run_checkout(args.change.resolve(), which))
     text = json.dumps(result, indent=1)
     if args.out:
         args.out.write_text(text + "\n")

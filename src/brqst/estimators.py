@@ -18,10 +18,11 @@ ball nonempty, with the least-residual density matrix, and then root-find
 the ball's Lagrange multiplier until the Lagrangian duality gap closes.
 
 Every solve polishes the iterate on a low-rank factor X = V V^dagger: first
-after a warm start of accelerated iterations, 100 for least squares on ideal
-probabilities and 20 for least squares on noisy records, the first trace cap
-and the likelihood, then after every 500.  Each later trace cap starts from
-the last point rescaled onto it and polishes before any iteration.  After a
+after a warm start of accelerated iterations, 20 for least squares on noisy
+records whose POVM elements sum to a multiple of I, the first trace cap and
+the likelihood, 100 for any other least squares, then after every 500.
+Each later trace cap starts from the last point rescaled onto it and
+polishes before any iteration.  After a
 polish a solve also stops on a certificate of optimality where its program
 has a cheap one: least squares on its duality gap when the POVM elements
 sum to a multiple of I, the likelihood and the least-residual density
@@ -447,17 +448,19 @@ def _fisher_polish_nll(stack: np.ndarray, a: np.ndarray, fv: np.ndarray,
 
 _CHUNK = 500
 # FISTA iterations before the first least-squares polish of a record of ideal
-# probabilities: on noiseless records the polish reaches round-off from here,
-# and later chunks are _CHUNK long.  A warm start of 30 moved 1192 of the 1896
-# Table-1 infidelities of seeds 181 and 182 and flipped 2 recovery verdicts, as
-# the records that do not fix the state follow the solve's path
+# probabilities, or of a POVM without the duality gap of _ls_gap: on noiseless
+# records the polish reaches round-off from here, and later chunks are _CHUNK
+# long.  A warm start of 30 moved 1192 of the 1896 Table-1 infidelities of
+# seeds 181 and 182 and flipped 2 recovery verdicts, as the records that do not
+# fix the state follow the solve's path
 _WARM_START = 100
 # FISTA iterations before the first polish of least squares on a noisy record
-# (stopped on its duality gap), of trace minimization's first cap and of every
-# likelihood solve, whose polish on the trace face does the work.  From a warm
-# start of 10 or 30 the plain MLE of the Fig-2 record (11, 10, 5) ends 1.4e-12
-# or 1.2e-12 relative above its lower bound, and from 50 an active-ball MLE
-# (21, 41, 5) ends 1.1e-8 above; from 20 they end within 1e-15 and 8.4e-9
+# whose POVM elements sum to k I (stopped on its duality gap), of trace
+# minimization's first cap and of every likelihood solve, whose polish on the
+# trace face does the work.  From a warm start of 10 or 30 the plain MLE of the
+# Fig-2 record (11, 10, 5) ends 1.4e-12 or 1.2e-12 relative above its lower
+# bound, and from 50 an active-ball MLE (21, 41, 5) ends 1.1e-8 above; from 20
+# they end within 1e-15 and 8.4e-9
 _BALL_WARM_START = 20
 # a least-squares solve stops once its duality gap is this fraction of its objective
 _LS_GAP = 1e-8
@@ -635,20 +638,22 @@ def estimate_ls(povm: Povm, f: MeasurementVector,
     0.5 ||M[X] - f||^2, when the POVM elements sum to a multiple of I
     (:func:`_ls_gap`); on a noiseless record the gap is never that small
     before the fit reaches round-off.  The first polish comes after
-    ``_WARM_START`` iterations on a record of ideal probabilities, where the
-    records that do not fix the state follow the solve's path, and after
-    ``_BALL_WARM_START`` on any other, whose answer the gap certifies.
+    ``_BALL_WARM_START`` iterations on a noisy record whose POVM has that gap,
+    as the gap certifies its answer, and after ``_WARM_START`` on any other:
+    a record of ideal probabilities that does not fix the state, or a POVM
+    without the gap, leaves an answer that follows the solve's path.
     """
     _check_lengths(povm, f)
     d = povm.dim
     a, value, value_grad, polish = _data_fit(povm, f)
     # ||A|| = ||S||, the map in the d^2 Hermitian coordinates
     lip = povm.norm_sq_bound
-    warm_start = _WARM_START if f.kind == "ideal_probabilities" else _BALL_WARM_START
+    gap = _ls_gap(povm, a, f.values)
+    certified = gap is not None and f.kind != "ideal_probabilities"
     x, f_x, iters, conv, hist = _solve(
         value_grad, value, _project_psd(d), np.zeros(2 * d * d), 1.0 / lip, cfg,
-        keep_history, polish, warm_start,
-        certificate=_certificate(_ls_gap(povm, a, f.values), _LS_GAP),
+        keep_history, polish, _BALL_WARM_START if certified else _WARM_START,
+        certificate=_certificate(gap, _LS_GAP),
     )
     residual = math.sqrt(2.0 * max(f_x, 0.0))
     return _finish(x, d, residual, residual, iters, conv, hist)

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,10 @@ from brqst import (
     simulate_counts,
 )
 from brqst import estimators
-from brqst.experiments import _basis_frequencies, measurement_prefixes
-from brqst.linalg import hermitianize
+
+# the Fig-2 records that scripts/answers.py compares two checkouts on
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from answers import fig2_record  # noqa: E402
 
 TIGHT = SolverConfig(max_iterations=30_000, relative_tolerance=1e-12)
 
@@ -299,7 +304,7 @@ def test_ls_polish_stops_at_noisy_stationary_point(monkeypatch):
     # stops there instead of running to its 150-iteration cap (16 iterations
     # here; 114 with the Gauss-Newton model alone), returning a point no worse
     # than the iterate it was given
-    povm, f, _ = _fig2_sweep_record(777, 1, 5)
+    povm, f, _ = fig2_record(777, 1, 5)
     stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
     out, steps, _ = _polish_steps(monkeypatch, stack, a, fv, x)
     r0, r1 = a @ x - fv, a @ out - fv
@@ -312,7 +317,7 @@ def test_ls_noisy_record_solves(monkeypatch):
     # polish adds the residual's curvature and converges in 32 LM solves; the
     # Gauss-Newton model alone converged linearly and took 409, for a fit no
     # better than this one
-    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    povm, f, _ = fig2_record(777, 2, 5)
     solve = np.linalg.solve
     calls = []
 
@@ -331,7 +336,7 @@ def test_ls_polish_takes_newton_steps_only_when_slow(monkeypatch):
     # where its fit falls slowly and ends in 23 Jacobians (Gauss-Newton alone
     # ran its 150-iteration cap); the noiseless Table-1 record's polish stays
     # Gauss-Newton throughout, as its kind says the optimum fits exactly
-    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    povm, f, _ = fig2_record(777, 2, 5)
     noisy = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
     _, steps, curved = _polish_steps(monkeypatch, *noisy)
     assert steps < 40
@@ -350,7 +355,7 @@ def test_ls_polish_stops_on_flat_step(monkeypatch):
     # rejected smaller damping, does not fire.  Without that stop the polish
     # takes one more Jacobian (20 against 19) for a fit 3e-16 relative lower.
     # (From the 20-iteration warm start the record now gets, both take 23.)
-    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    povm, f, _ = fig2_record(777, 2, 5)
     monkeypatch.setattr(estimators, "_BALL_WARM_START", estimators._WARM_START)
     stack, a, fv, x = _first_polish_input(monkeypatch, lambda: estimate_ls(povm, f, SWEEP_CFG))
     out, steps, _ = _polish_steps(monkeypatch, stack, a, fv, x)
@@ -384,7 +389,7 @@ def test_ls_certificate_stops_noisy_record():
     # gap reads 8.2e-13 of the objective, and the solve stops on it after the
     # 20-iteration warm start; without the certificate it ran a chunk and a
     # polish more
-    povm, f, _ = _fig2_sweep_record(777, 2, 5)
+    povm, f, _ = fig2_record(777, 2, 5)
     report = estimate_ls(povm, f, SWEEP_CFG)
     gap, value = estimators._ls_gap(povm, estimators._measurement_map(povm), f.values)(
         estimators._vec(report.raw.mat))
@@ -401,6 +406,28 @@ def test_ls_gap_needs_identity_sum():
     assert estimators._ls_gap(povm, estimators._measurement_map(povm), np.array([0.6, 0.2])) is None
     pauli = _pauli_povm()
     assert estimators._ls_gap(pauli, estimators._measurement_map(pauli), np.full(6, 1 / 6)) is not None
+
+
+def test_ls_short_warm_start_only_when_certified(monkeypatch):
+    # the first polish comes after _BALL_WARM_START iterations only on a noisy
+    # record whose POVM has the duality gap that certifies the answer
+    solve = estimators._solve
+    warm_starts = []
+
+    def recording(*args, **kwargs):
+        warm_starts.append(args[8])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_solve", recording)
+    p0 = HermitianMatrix(np.diag([1.0, 0.0]).astype(complex))
+    values = np.array([0.5, 0.1, 0.7, 0.3, 0.45, 0.55])
+    for povm, kind in ((_pauli_povm(), "empirical_frequencies"),
+                       (_pauli_povm(), "ideal_probabilities"),
+                       (Povm(2, (p0, p0)), "empirical_frequencies")):
+        f = MeasurementVector(values[:len(povm.elements)] / 3, kind=kind, total_shots=300)
+        estimate_ls(povm, f, TIGHT)
+    assert warm_starts == [estimators._BALL_WARM_START, estimators._WARM_START,
+                           estimators._WARM_START]
 
 
 def test_ls_length_mismatch():
@@ -459,8 +486,8 @@ def test_trace_min_noisy_constraint_active():
 @pytest.mark.parametrize("record", [
     _random_basis_record,
     _goyeneche_fig2_record,
-    pytest.param(lambda: _fig2_sweep_record(777, 0, 9), id="sweep-777-state0-b9"),
-    pytest.param(lambda: _fig2_sweep_record(777, 1, 5), id="sweep-777-state1-b5"),
+    pytest.param(lambda: fig2_record(777, 0, 9), id="sweep-777-state0-b9"),
+    pytest.param(lambda: fig2_record(777, 1, 5), id="sweep-777-state1-b5"),
 ])
 def test_trace_min_kkt_certificate(record):
     # at the optimum of min Tr X s.t. ||M[X] - f|| <= eps, X >= 0 with the ball
@@ -490,7 +517,7 @@ def test_trace_min_lands_on_certified_optimum(seed, state, b):
     # The answer's trace sits within 1e-8 relative of that bound here (2.1e-7
     # at most over the 40 recorded programs).  With 20 FISTA iterations
     # restarted after each Newton step the answer sat up to 5.2e-6 above it
-    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    povm, f, eps = fig2_record(seed, state, b)
     report = estimate_trace_min(povm, f, eps, SWEEP_CFG)
     x = report.raw.mat
     r = np.einsum("mij,ji->m", povm.stack, x).real - f.values
@@ -503,7 +530,7 @@ def test_trace_min_lands_on_certified_optimum(seed, state, b):
 
 @pytest.mark.parametrize("record", [
     _goyeneche_fig2_record,
-    pytest.param(lambda: _fig2_sweep_record(777, 0, 9), id="sweep-777-state0-b9"),
+    pytest.param(lambda: fig2_record(777, 0, 9), id="sweep-777-state0-b9"),
 ])
 def test_trace_min_caps_rise_to_the_answer(record, monkeypatch):
     # each Newton step projects onto {X >= 0, Tr X <= cap} with its own cap;
@@ -538,7 +565,7 @@ def test_trace_min_decomposes_each_matrix_once(seed, state, b, monkeypatch):
             inputs.append(np.ascontiguousarray(m).tobytes())
         return eigh(m, *args, **kwargs)
 
-    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    povm, f, eps = fig2_record(seed, state, b)
     monkeypatch.setattr(np.linalg, "eigh", recording)
     estimate_trace_min(povm, f, eps, SWEEP_CFG)
     repeats = len(inputs) - len(set(inputs))
@@ -557,7 +584,7 @@ def test_mle_decomposes_start_matrix_once(seed, state, b, monkeypatch):
         hits.append(np.array_equal(m, start))
         return eigh(m, *args, **kwargs)
 
-    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    povm, f, eps = fig2_record(seed, state, b)
     monkeypatch.setattr(np.linalg, "eigh", recording)
     estimate_mle(povm, f, eps, SWEEP_CFG)
     assert sum(hits) == 1
@@ -580,7 +607,7 @@ def test_trace_min_polish_solves(monkeypatch):
     # Tr X = tau are Newton steps and take 48 LM solves (33 after a
     # 20-iteration warm start at every cap, which cost 73 more
     # eigendecompositions); with the Gauss-Newton model alone they took 212
-    povm, f, eps = _fig2_sweep_record(777, 2, 5)
+    povm, f, eps = fig2_record(777, 2, 5)
     solve = np.linalg.solve
     calls = []
 
@@ -600,7 +627,7 @@ def test_ball_programs_polish_after_short_warm_start():
     # Frank-Wolfe gap; trace minimization then polishes each new cap before
     # any iteration and takes 10 in all.  With a warm start of 100 and no
     # certificate they took 230 and 110 iterations
-    povm, f, eps = _fig2_sweep_record(777, 2, 5)
+    povm, f, eps = fig2_record(777, 2, 5)
     trace = estimate_trace_min(povm, f, eps, SWEEP_CFG)
     mle = estimate_mle(povm, f, eps, SWEEP_CFG)
     assert trace.converged and mle.converged
@@ -667,20 +694,6 @@ def test_mle_infeasible_ball():
     assert info.value.kind == "density_residual_exceeds_radius"
 
 
-def _fig2_sweep_record(seed, state, b, d=8, q=1e-3, shots=2400):
-    # the record of one state at b paired bases, drawn as run_robustness_sweep
-    # draws it: counts for all 9 bases from the state's stream, sliced to b
-    stream = RandomStream(seed).derive(d, state)
-    psi = random_pure_state(d, stream.derive(0))
-    tau = random_mixed_hs(d, stream.derive(1))
-    sigma = hermitianize((1 - q) * np.outer(psi, psi.conj()) + q * tau.mat)
-    povms = measurement_prefixes("goyeneche", d, [b, 9], stream.derive(2))
-    blocks = _basis_frequencies(povms[9], sigma, shots, stream.derive(3).generator())
-    f = MeasurementVector(np.concatenate(blocks[:b]) / b, kind="empirical_frequencies",
-                          total_shots=b * shots)
-    return povms[b], f, default_epsilon(b, d, shots) / b
-
-
 SWEEP_CFG = SolverConfig(max_iterations=20_000, relative_tolerance=1e-10)
 
 
@@ -731,7 +744,7 @@ def test_mle_active_ball_duality_gap(seed, state, b):
     # multipliers (mu ~ 477 on the first); there a Fisher polish without the
     # curvature of the trace-normalized factor left a gradient near 1e-7, and
     # this bound read 2.7e-8 and 2.6e-8
-    povm, f, eps = _fig2_sweep_record(seed, state, b)
+    povm, f, eps = fig2_record(seed, state, b)
     assert estimate_mle(povm, f, 1.0, SWEEP_CFG).residual_norm > eps
     report = estimate_mle(povm, f, eps, SWEEP_CFG)
     rho = report.raw.mat
@@ -748,7 +761,7 @@ def test_mle_density_residual_solve_stops_on_certificate(monkeypatch):
     # on its Frank-Wolfe gap <r, p> - lambda_min(M^dagger[r]); without that
     # certificate it ran a 10-iteration chunk and a polish more, for the same
     # final NLL
-    povm, f, eps = _fig2_sweep_record(12, 11, 5)
+    povm, f, eps = fig2_record(12, 11, 5)
     solve = estimators._solve
     solves = []
 
@@ -776,7 +789,7 @@ def test_mle_inactive_ball_reaches_optimum():
     # solve stops on its Frank-Wolfe gap (1.6e-14 with a 100-iteration warm
     # start and no Frank-Wolfe stop); from mu = 1e-3 upward the best one read
     # 4.2e-8
-    povm, f, eps = _fig2_sweep_record(11, 10, 5)
+    povm, f, eps = fig2_record(11, 10, 5)
     report = estimate_mle(povm, f, eps, SWEEP_CFG)
     assert report.converged
     assert report.residual_norm < eps
@@ -786,7 +799,7 @@ def test_mle_inactive_ball_reaches_optimum():
 def test_mle_frank_wolfe_gap_is_mu_zero_bound():
     # the stop test of the likelihood solves, <w, p> - lambda_min(M^dagger[w]),
     # is NLL minus the mu = 0 lower bound above, here at 2e-16 of the NLL apart
-    povm, f, eps = _fig2_sweep_record(11, 10, 5)
+    povm, f, eps = fig2_record(11, 10, 5)
     rho = estimate_mle(povm, f, eps, SWEEP_CFG).raw.mat
     a = estimators._measurement_map(povm)
     fw = estimators._frank_wolfe_gap(a, estimators._likelihood_fit(f.values, 0.0), povm.dim)
@@ -801,7 +814,7 @@ def test_mle_fisher_polish_converges_fast(monkeypatch):
     # Fig-2 record: with the curvature of the trace-normalized factor it ends
     # in 16 iterations after the 20-iteration warm start (39 after one of 100);
     # the Fisher model alone converged linearly and ran to its cap of 120
-    povm, f, eps = _fig2_sweep_record(777, 0, 5)
+    povm, f, eps = fig2_record(777, 0, 5)
     stack, a, fv, x = _first_polish_input(
         monkeypatch, lambda: estimate_mle(povm, f, eps, SWEEP_CFG), "_fisher_polish_nll")
     jacobian = estimators._factor_jacobian
@@ -821,7 +834,7 @@ def test_mle_fisher_polish_converges_fast(monkeypatch):
 def test_mle_inactive_ball_respects_iteration_budget():
     # with the ball inactive the plain MLE is the answer, and its one solve
     # stops at the configured budget
-    povm, f, eps = _fig2_sweep_record(12, 0, 9)
+    povm, f, eps = fig2_record(12, 0, 9)
     cfg = SolverConfig(max_iterations=50, relative_tolerance=1e-10)
     report = estimate_mle(povm, f, eps, cfg)
     assert report.residual_norm < eps
